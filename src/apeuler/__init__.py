@@ -51,6 +51,6 @@ from .incompressible import (
     pressure_solve,
     run_incomp,
 )
-from .mesh import Mesh, MeshSpec, mesh_regularity
+from .mesh import Mesh, MeshSpec
 
 __version__ = "0.1.0"

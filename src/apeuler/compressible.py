@@ -31,6 +31,9 @@ from .mesh import Mesh
 from .operators import (
     EdgeSplit,
     _laplace_symbol,
+    _neighbour,
+    _net_outflow,
+    _scale_by_face_length,
     div_upwind_values,
     edge_normal_values,
     grad_values,
@@ -257,18 +260,20 @@ def comp_dt(state: CompState, grad_p_prev: CellVector, config: CompConfig) -> fl
     """
     mesh = state.mesh
     eta = eta_rule(state.rho, config.eta_margin)
-    K, L = mesh.edge_K, mesh.edge_L
+    # max(|bd K|/|K|, |bd L|/|L|), the same for every face of the uniform grid
+    geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
 
-    bnd = mesh.cell_bnd / mesh.cell_vol
-    geo = np.maximum(bnd[K], bnd[L])
+    grid = (mesh.ny, mesh.nx)
+    u = state.u.values.reshape(*grid, 2)
+    uavg = 0.5 * (u + _neighbour(u, u))
+    gp = grad_p_prev.values.reshape(*grid, 2)
+    gavg = 0.5 * (gp + _neighbour(gp, gp))
+    speed = np.hypot(uavg[..., 0], uavg[..., 1]) + np.sqrt(
+        (eta / config.eps**2) * np.hypot(gavg[..., 0], gavg[..., 1]))
 
-    uavg = 0.5 * (state.u.values[K] + state.u.values[L])
-    gavg = 0.5 * (grad_p_prev.values[K] + grad_p_prev.values[L])
-    speed = np.hypot(uavg[:, 0], uavg[:, 1]) + np.sqrt(
-        (eta / config.eps**2) * np.hypot(gavg[:, 0], gavg[:, 1]))
-
-    rho = state.rho.values
-    ratio = np.minimum(rho[K], rho[L]) / np.maximum(rho[K], rho[L])
+    rk = state.rho.values.reshape(grid)
+    rl = _neighbour(rk, rk)
+    ratio = np.minimum(rk, rl) / np.maximum(rk, rl)
     rhs = np.minimum(1.0, ratio / 3.0)
 
     denom = geo * speed
@@ -296,15 +301,13 @@ def _spectral_inverse(mesh: Mesh, beta: float):
 
 
 def _stab_flux_div(mesh: Mesh, c_edge: np.ndarray):
-    """Divergence-style gather of the stabilization flux direction:
+    """Divergence-style sum of the stabilization flux direction:
     G[q] = (1/|K|) sum_sigma +- |sigma| c_sigma {{grad q}}_sigma . nu."""
-    ce = mesh.cell_edges
-    lc = mesh.edge_len * c_edge
+    lc = _scale_by_face_length(mesh, c_edge.reshape(2, mesh.ny, mesh.nx).copy())
 
     def apply(q: np.ndarray) -> np.ndarray:
-        t = lc * edge_normal_values(mesh, grad_values(mesh, q))
-        out = t[ce[:, 0]] - t[ce[:, 1]] + t[ce[:, 2]] - t[ce[:, 3]]
-        return out / mesh.cell_vol
+        t = lc * edge_normal_values(mesh, grad_values(mesh, q)).reshape(lc.shape)
+        return _net_outflow(mesh, t)
 
     return apply
 
@@ -342,8 +345,9 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
 
         # upwind coefficient of the shift flux, frozen at this iterate:
         # the donor density attached to the active half of du per face
-        du_edge = edge_normal_values(mesh, du.values)
-        rk, rl = rho_l[mesh.edge_K], rho_l[mesh.edge_L]
+        du_edge = edge_normal_values(mesh, du.values).reshape(2, mesh.ny, mesh.nx)
+        rk = rho_l.reshape(mesh.ny, mesh.nx)
+        rl = _neighbour(rk, rk)
         c_edge = np.where(du_edge > 0.0, rl,
                           np.where(du_edge < 0.0, rk, 0.5 * (rk + rl)))
         stab_div = _stab_flux_div(mesh, c_edge)
@@ -471,9 +475,10 @@ def default_output_times(t_final: float, count: int = 10) -> np.ndarray:
     return np.linspace(0.0, t_final, count)
 
 
-def run_comp(config: CompConfig, mesh: Mesh, ic: CompState,
-             output_times=None) -> Trajectory:
-    """March the scheme to t_final, landing exactly on each output time."""
+def _march(step, config, ic, output_times) -> Trajectory:
+    """Advance ``ic`` with ``step(state, config, dt_cap=...)`` to each output
+    time in turn (default: ``default_output_times(config.t_final)``), landing
+    exactly on it."""
     if output_times is None:
         output_times = default_output_times(config.t_final)
     output_times = np.asarray(output_times, dtype=np.float64)
@@ -481,15 +486,21 @@ def run_comp(config: CompConfig, mesh: Mesh, ic: CompState,
     state = ic
     times = [state.t]
     states = [state]
-    diagnostics: list[StepDiagnostics] = []
+    diagnostics = []
     tiny = 1e-12 * max(config.t_final, 1.0)
 
     for t_out in output_times[1:]:
         while state.t < t_out - tiny:
-            state, diag = comp_step(state, config, dt_cap=float(t_out - state.t))
+            state, diag = step(state, config, dt_cap=float(t_out - state.t))
             diagnostics.append(diag)
         state = replace(state, t=float(t_out))
         times.append(state.t)
         states.append(state)
-    return Trajectory(mesh=mesh, times=times, states=states,
+    return Trajectory(mesh=ic.mesh, times=times, states=states,
                       diagnostics=diagnostics)
+
+
+def run_comp(config: CompConfig, mesh: Mesh, ic: CompState,
+             output_times=None) -> Trajectory:
+    """March the scheme to t_final, landing exactly on each output time."""
+    return _march(comp_step, config, ic, output_times)

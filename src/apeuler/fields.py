@@ -1,4 +1,4 @@
-"""Piecewise-constant fields on the primal (cell) and dual (face) meshes.
+"""Piecewise-constant cell fields.
 
 These are thin, shape-checked wrappers around flat numpy arrays; the actual
 numerics live in :mod:`apeuler.operators`.  All constructors coerce to
@@ -16,8 +16,6 @@ from .mesh import Mesh
 __all__ = [
     "CellScalar",
     "CellVector",
-    "DualScalar",
-    "DualVector",
     "cell_scalar",
     "cell_vector",
 ]
@@ -59,28 +57,6 @@ class CellVector:
 
     def component(self, c: int) -> CellScalar:
         return CellScalar(self.mesh, self.values[:, c].copy())
-
-
-@dataclass
-class DualScalar:
-    """One real value per dual cell (i.e. per face)."""
-
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = _coerce(self.values, (self.mesh.nedges,), "DualScalar")
-
-
-@dataclass
-class DualVector:
-    """One real 2-vector per dual cell."""
-
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = _coerce(self.values, (self.mesh.nedges, 2), "DualVector")
 
 
 def cell_scalar(mesh: Mesh, fill: float = 0.0) -> CellScalar:

@@ -165,6 +165,20 @@ def _write_incomp_run(rundir: Path, traj: Trajectory, chash: str) -> list[Path]:
     return files
 
 
+def _write_runs(outdir: Path, results: dict, gamma: float,
+                chash: str) -> list[Path]:
+    """Write every finished sweep cell into its own run directory."""
+    files: list[Path] = []
+    for key, traj in sorted(results.items(), key=lambda kv: _job_label(kv[0])):
+        if key[0] == "comp":
+            rundir = outdir / "runs" / f"comp_k{key[1]}_eps{_eps_tag(key[2])}"
+            files += _write_comp_run(rundir, traj, key[2], gamma, chash)
+        else:
+            rundir = outdir / "runs" / f"incomp_k{key[1]}"
+            files += _write_incomp_run(rundir, traj, chash)
+    return files
+
+
 def _error_table(path: Path, snaps: dict, sweep_grids, all_grids, time: float,
                  chash: str) -> Path:
     """Cumulative refinement-sequence errors: row k compares the sequence up
@@ -193,14 +207,7 @@ def run_case_study_A(cfg: ExperimentConfig) -> OutputBundle:
     results, failures = _sweep(jobs, cfg.workers)
     bundle.failures.extend(failures)
 
-    for key, traj in sorted(results.items(), key=lambda kv: _job_label(kv[0])):
-        if key[0] == "comp":
-            rundir = outdir / "runs" / f"comp_k{key[1]}_eps{_eps_tag(key[2])}"
-            bundle.files += _write_comp_run(rundir, traj, key[2], cfg.gamma,
-                                            chash)
-        else:
-            rundir = outdir / "runs" / f"incomp_k{key[1]}"
-            bundle.files += _write_incomp_run(rundir, traj, chash)
+    bundle.files += _write_runs(outdir, results, cfg.gamma, chash)
 
     tables = outdir / "tables"
     for g in all_grids:
@@ -270,14 +277,7 @@ def run_case_study_B(cfg: ExperimentConfig) -> OutputBundle:
     results, failures = _sweep(jobs, cfg.workers)
     bundle.failures.extend(failures)
 
-    for key, traj in sorted(results.items(), key=lambda kv: _job_label(kv[0])):
-        if key[0] == "comp":
-            rundir = outdir / "runs" / f"comp_k{key[1]}_eps{_eps_tag(key[2])}"
-            bundle.files += _write_comp_run(rundir, traj, key[2], cfg.gamma,
-                                            chash)
-        else:
-            rundir = outdir / "runs" / f"incomp_k{key[1]}"
-            bundle.files += _write_incomp_run(rundir, traj, chash)
+    bundle.files += _write_runs(outdir, results, cfg.gamma, chash)
 
     tables = outdir / "tables"
     if all(("incomp", g) in results for g in all_grids):

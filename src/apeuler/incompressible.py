@@ -20,21 +20,21 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .compressible import Trajectory, default_output_times
+from .compressible import Trajectory, _march
 from .fields import CellScalar, CellVector
 from .linsolve import LinearOperator, SolveReport, solve_deflated_spd
 from .mesh import Mesh
 from .operators import (
     _laplace_symbol,
+    _neighbour,
     div_upwind_values,
     div_values,
     grad_values,
     laplace_values,
-    mean,
     project_vector,
     split_advective_velocity,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "IncompState",
     "IncompStepDiagnostics",
     "BETA_2D",
-    "BETA_3D",
     "init_incomp",
     "pressure_kernel_basis",
     "pressure_solve",
@@ -56,10 +55,8 @@ __all__ = [
     "kinetic_energy",
 ]
 
-#: sufficient time-step constants of the energy bound (the 3-D value is
-#: exposed for completeness; nothing in this package exercises d = 3).
+#: sufficient time-step constant of the energy bound in two dimensions
 BETA_2D = 1.0 / 8.0
-BETA_3D = 1.0 / 12.0
 
 
 @dataclass(frozen=True)
@@ -195,26 +192,27 @@ def pressure_solve(v_n: CellVector, eta: float, dt: float,
     return CellScalar(mesh, x), report
 
 
-def incomp_dt(state: IncompState, pi_n: CellScalar, config: IncompConfig,
-              beta: float = BETA_2D) -> float:
+def incomp_dt(state: IncompState, pi_n: CellScalar,
+              config: IncompConfig) -> float:
     """Largest dt with the per-face bound
-    dt * max(|bd K|/|K|, |bd L|/|L|) * (|{{v}}| + sqrt(eta |{{grad pi}}|)) <= beta,
+    dt * max(|bd K|/|K|, |bd L|/|L|) * (|{{v}}| + sqrt(eta |{{grad pi}}|)) <= BETA_2D,
     evaluated at t^n, scaled by cfl_fraction and capped at dt_max."""
     mesh = state.mesh
-    K, L = mesh.edge_K, mesh.edge_L
-    bnd = mesh.cell_bnd / mesh.cell_vol
-    geo = np.maximum(bnd[K], bnd[L])
+    # max(|bd K|/|K|, |bd L|/|L|), the same for every face of the uniform grid
+    geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
 
-    vavg = 0.5 * (state.v.values[K] + state.v.values[L])
-    gpi = grad_values(mesh, pi_n.values)
-    gavg = 0.5 * (gpi[K] + gpi[L])
-    speed = np.hypot(vavg[:, 0], vavg[:, 1]) + np.sqrt(
-        config.eta * np.hypot(gavg[:, 0], gavg[:, 1]))
+    grid = (mesh.ny, mesh.nx, 2)
+    v = state.v.values.reshape(grid)
+    vavg = 0.5 * (v + _neighbour(v, v))
+    gpi = grad_values(mesh, pi_n.values).reshape(grid)
+    gavg = 0.5 * (gpi + _neighbour(gpi, gpi))
+    speed = np.hypot(vavg[..., 0], vavg[..., 1]) + np.sqrt(
+        config.eta * np.hypot(gavg[..., 0], gavg[..., 1]))
 
     denom = geo * speed
     if not np.any(denom > 0.0):
         return float(config.dt_max)
-    bound = beta / float(denom.max())
+    bound = BETA_2D / float(denom.max())
     return float(min(config.cfl_fraction * bound, config.dt_max))
 
 
@@ -269,22 +267,4 @@ def incomp_step(state: IncompState, config: IncompConfig,
 def run_incomp(config: IncompConfig, mesh: Mesh, ic: IncompState,
                output_times=None) -> Trajectory:
     """March to t_final, landing exactly on each output time."""
-    if output_times is None:
-        output_times = default_output_times(config.t_final)
-    output_times = np.asarray(output_times, dtype=np.float64)
-
-    state = ic
-    times = [state.t]
-    states = [state]
-    diagnostics: list[IncompStepDiagnostics] = []
-    tiny = 1e-12 * max(config.t_final, 1.0)
-
-    for t_out in output_times[1:]:
-        while state.t < t_out - tiny:
-            state, diag = incomp_step(state, config, dt_cap=float(t_out - state.t))
-            diagnostics.append(diag)
-        state = replace(state, t=float(t_out))
-        times.append(state.t)
-        states.append(state)
-    return Trajectory(mesh=mesh, times=times, states=states,
-                      diagnostics=diagnostics)
+    return _march(incomp_step, config, ic, output_times)

@@ -31,24 +31,6 @@ class LinearOperator:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
 
-    def check_linearity(self, trials: int = 3, tol: float = 1e-8,
-                        seed: int = 0) -> None:
-        """Statistical linearity check: A(ax + by) = a Ax + b Ay on random data.
-
-        Raises ``ValueError`` when the relative defect exceeds ``tol``.
-        """
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            x = rng.standard_normal(self.dimension)
-            y = rng.standard_normal(self.dimension)
-            a, b = rng.standard_normal(2)
-            lhs = self.apply(a * x + b * y)
-            rhs = a * self.apply(x) + b * self.apply(y)
-            scale = np.linalg.norm(rhs) + 1.0
-            defect = np.linalg.norm(lhs - rhs) / scale
-            if not defect <= tol:
-                raise ValueError(f"operator is not linear: defect {defect:.3e}")
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -70,13 +52,12 @@ def _true_residual(A, b, x) -> float:
 
 
 def solve_transport(A: LinearOperator, b: np.ndarray, tol: float = 1e-10,
-                    max_iter: int = 400, diag: np.ndarray | None = None,
+                    max_iter: int = 400,
                     x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """BiCGStab with optional diagonal (Jacobi) preconditioning.
+    """Unpreconditioned BiCGStab.
 
-    Solves A x = b to ``||Ax - b||_2 <= tol * ||b||_2``.  ``diag`` is the
-    operator diagonal for preconditioning (callers of matrix-free operators
-    usually know it analytically); ``x0`` warm-starts the iteration.
+    Solves A x = b to ``||Ax - b||_2 <= tol * ||b||_2``; ``x0`` warm-starts
+    the iteration.  Callers precondition by composing it into ``A``.
     Non-convergence is flagged on the report and logged, never silent.
     """
     b = np.asarray(b, dtype=np.float64)
@@ -84,9 +65,6 @@ def solve_transport(A: LinearOperator, b: np.ndarray, tol: float = 1e-10,
     if bnorm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, True)
     target = tol * bnorm
-    inv_diag = None
-    if diag is not None:
-        inv_diag = 1.0 / np.asarray(diag, dtype=np.float64)
 
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - A(x)
@@ -102,8 +80,7 @@ def solve_transport(A: LinearOperator, b: np.ndarray, tol: float = 1e-10,
             break  # breakdown; report what we have
         beta = (rho / rho_prev) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        p_hat = p if inv_diag is None else inv_diag * p
-        v = A(p_hat)
+        v = A(p)
         denom = float(np.dot(r_hat, v))
         if denom == 0.0:
             break
@@ -111,20 +88,19 @@ def solve_transport(A: LinearOperator, b: np.ndarray, tol: float = 1e-10,
         s = r - alpha * v
         iterations += 1
         if np.linalg.norm(s) <= target:
-            x = x + alpha * p_hat
+            x = x + alpha * p
             if _true_residual(A, b, x) <= target:
                 break
             r = b - A(x)
             rho_prev = rho
             continue
-        s_hat = s if inv_diag is None else inv_diag * s
-        t = A(s_hat)
+        t = A(s)
         tt = float(np.dot(t, t))
         if tt == 0.0:
-            x = x + alpha * p_hat
+            x = x + alpha * p
             break
         omega = float(np.dot(t, s)) / tt
-        x = x + alpha * p_hat + omega * s_hat
+        x = x + alpha * p + omega * s
         r = s - omega * t
         rho_prev = rho
         if omega == 0.0:

@@ -1,11 +1,12 @@
-"""Structured periodic rectangular meshes: primal cells, face (dual) geometry,
-and regularity metrics.
+"""Structured periodic rectangular meshes: cell geometry and the face layout.
 
-Cells are indexed row-major, K = j*nx + i for column i and row j.  Every face
-sigma = K|L is stored once with a fixed orientation: the unit normal nu_{sigma,K}
-points along +x (axis 0) or +y (axis 1), so K is always the cell on the
-negative side of the face.  Periodic wrap-around faces are ordinary faces; the
-mesh has no boundary.
+Cells are indexed row-major, K = j*nx + i for column i and row j, so a
+per-cell array views as an (ny, nx) grid.  Each cell owns the face on its +x
+side and the face on its +y side; per-face arrays are flat, length
+``nedges = 2 * ncells``, with all x-faces first and then all y-faces, face K
+of each family belonging to cell K.  Its normal points along +x (+y) from K
+to the neighbour L = j*nx + (i+1) % nx (L = ((j+1) % ny)*nx + i).  Periodic
+wrap-around faces are ordinary faces; the mesh has no boundary.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "MeshSpec",
-    "Mesh",
-    "RegularityReport",
-    "build_uniform_mesh",
-    "mesh_regularity",
-]
+__all__ = ["MeshSpec", "Mesh"]
 
 
 @dataclass(frozen=True)
@@ -45,28 +40,12 @@ class MeshSpec:
 
 
 class Mesh:
-    """Immutable uniform periodic mesh with per-cell and per-edge geometry.
-
-    Edge storage (all arrays length ``nedges``):
-
-    - ``edge_K``, ``edge_L``: adjacent cell indices, normal pointing K -> L;
-    - ``edge_axis``: 0 for faces normal to x, 1 for faces normal to y;
-    - ``edge_len``: face measure |sigma|;
-    - ``edge_dist``: distance d_sigma between the two cell centers;
-    - ``edge_dual_vol``: dual-cell measure |D_sigma| = d_sigma * |sigma|.
-
-    ``cell_edges[K]`` lists the four faces of cell K in the fixed order
-    (+x, -x, +y, -y);  for the + faces K is the stored owner (``edge_K``), for
-    the - faces K is the neighbour (``edge_L``), so the outward normal of
-    cell K is +e_axis on columns 0/2 and -e_axis on columns 1/3.
-    """
+    """Immutable uniform periodic mesh: grid sizes, cell centres ``cell_x``
+    (ncells, 2) and cell volumes ``cell_vol`` (ncells,)."""
 
     __slots__ = (
         "nx", "ny", "lx", "ly", "hx", "hy", "h",
-        "ncells", "nedges", "domain_vol",
-        "cell_x", "cell_vol", "cell_bnd", "cell_edges",
-        "edge_K", "edge_L", "edge_axis", "edge_len", "edge_dist",
-        "edge_dual_vol", "edge_x",
+        "ncells", "nedges", "domain_vol", "cell_x", "cell_vol",
     )
 
     def __init__(self, spec: MeshSpec):
@@ -87,37 +66,8 @@ class Mesh:
         j = np.repeat(np.arange(ny), nx)
         self.cell_x = np.column_stack(((i + 0.5) * hx, (j + 0.5) * hy))
         self.cell_vol = np.full(ncells, hx * hy)
-        self.cell_bnd = np.full(ncells, 2.0 * (hx + hy))
-
-        # x-faces first (edge e = K for the face on the +x side of cell K),
-        # then y-faces (edge e = ncells + K).
-        k = np.arange(ncells)
-        self.edge_K = np.concatenate((k, k))
-        self.edge_L = np.concatenate((j * nx + (i + 1) % nx,
-                                      ((j + 1) % ny) * nx + i))
-        self.edge_axis = np.concatenate((np.zeros(ncells, dtype=np.int64),
-                                         np.ones(ncells, dtype=np.int64)))
-        self.edge_len = np.concatenate((np.full(ncells, hy),
-                                        np.full(ncells, hx)))
-        self.edge_dist = np.concatenate((np.full(ncells, hx),
-                                         np.full(ncells, hy)))
-        self.edge_dual_vol = self.edge_len * self.edge_dist
-        self.edge_x = np.concatenate((
-            np.column_stack(((i + 1.0) * hx, (j + 0.5) * hy)),
-            np.column_stack(((i + 0.5) * hx, (j + 1.0) * hy)),
-        ))
-
-        ce = np.empty((ncells, 4), dtype=np.int64)
-        ce[:, 0] = k                              # +x face (owner)
-        ce[:, 1] = j * nx + (i - 1) % nx          # -x face (neighbour side)
-        ce[:, 2] = ncells + k                     # +y face (owner)
-        ce[:, 3] = ncells + ((j - 1) % ny) * nx + i   # -y face
-        self.cell_edges = ce
-
-        for name in ("cell_x", "cell_vol", "cell_bnd", "cell_edges",
-                     "edge_K", "edge_L", "edge_axis", "edge_len",
-                     "edge_dist", "edge_dual_vol", "edge_x"):
-            getattr(self, name).setflags(write=False)
+        for arr in (self.cell_x, self.cell_vol):
+            arr.setflags(write=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -126,33 +76,3 @@ class Mesh:
     def __repr__(self) -> str:
         return (f"Mesh({self.nx}x{self.ny} on [{self.lx} x {self.ly}], "
                 f"h={self.h:.6g})")
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Tightest regularity constants realized by a mesh.
-
-    ``theta_lo <= |D_sigma|/|K| <= theta_hi`` over every cell/face pair, and
-    ``alpha * h <= d_sigma`` for every face.
-    """
-
-    theta_lo: float
-    theta_hi: float
-    alpha: float
-    h: float
-
-
-def build_uniform_mesh(spec: MeshSpec) -> Mesh:
-    """Construct the uniform periodic mesh described by ``spec``."""
-    return Mesh(spec)
-
-
-def mesh_regularity(mesh: Mesh) -> RegularityReport:
-    """Exact scan of the dual/primal volume ratios and the flatness bound."""
-    ratios = mesh.edge_dual_vol[mesh.cell_edges] / mesh.cell_vol[:, None]
-    return RegularityReport(
-        theta_lo=float(ratios.min()),
-        theta_hi=float(ratios.max()),
-        alpha=float(mesh.edge_dist.min() / mesh.h),
-        h=mesh.h,
-    )

@@ -1,11 +1,14 @@
 """Discrete differential operators, upwind fluxes, projections and norms on
 uniform periodic meshes.
 
-All cell-based operators are assembled as gathers over ``mesh.cell_edges``
-(fixed face order +x, -x, +y, -y), so they are deterministic and allocation
-patterns do not depend on the data.  Per-edge quantities follow the stored
-K -> L orientation; seen from the neighbour cell the sign conventions flip,
-which the gathers account for explicitly.
+Per-cell arrays are viewed as ``(ny, nx)`` grids and every stencil is a
+periodic neighbour shift built from slice assignments.  Per-face arrays are
+flat, length ``nedges = 2 ncells``, x-faces first: face ``K`` of a family is
+the face on the +x (+y) side of cell ``K``, oriented from ``K`` to its +x
+(+y) neighbour ``L``, so a face array views as ``(2, ny, nx)`` indexed by
+its ``K`` cell.  Each face sum is evaluated in the fixed order
++x, -x, +y, -y, which keeps results independent of how the faces are
+visited.
 
 The sign-split pair carried by :class:`EdgeSplit` is the stabilized advective
 normal velocity split into nonnegative/nonpositive halves per face.  The two
@@ -22,19 +25,15 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fields import CellScalar, CellVector, DualScalar, DualVector
+from .fields import CellScalar, CellVector
 from .mesh import Mesh
 
 __all__ = [
     "EdgeSplit",
     "project",
     "project_vector",
-    "edge_average",
     "grad_primal",
     "div_primal",
-    "grad_dual",
-    "reconstruct_dual",
-    "upwind_mass_flux",
     "div_upwind",
     "split_advective_velocity",
     "mean",
@@ -43,45 +42,96 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# periodic shifts (shared by the kernels and the time-step bounds)
+# ---------------------------------------------------------------------------
+
+def _neighbour(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    """``L``-side values of the two face families, (2, ny, nx, ...).
+
+    ``ax`` and ``ay`` are per-cell grids (ny, nx, ...); family 0 takes the
+    entry of ``ax`` at the +x neighbour of each cell, family 1 the entry of
+    ``ay`` at its +y neighbour, with periodic wrap-around.  The ``K``-side
+    values are the grids themselves, which broadcast against the result.
+    """
+    out = np.empty((2,) + ax.shape)
+    out[0, :, :-1] = ax[:, 1:]
+    out[0, :, -1] = ax[:, 0]
+    out[1, :-1] = ay[1:]
+    out[1, -1] = ay[0]
+    return out
+
+
+def _scale_by_face_length(mesh: Mesh, f: np.ndarray) -> np.ndarray:
+    """Multiply a (2, ny, nx) face array in place by |sigma| of its family."""
+    f[0] *= mesh.hy
+    f[1] *= mesh.hx
+    return f
+
+
+def _net_outflow(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
+    """(1/|K|) sum over the faces of K of the outward flux, per cell.
+
+    ``flux`` holds one value per face along the K -> L normal, so each cell
+    adds its +x and +y faces and subtracts its -x and -y faces (the +x/+y
+    faces of its -x/-y neighbours), in the order +x, -x, +y, -y.
+    """
+    fx, fy = flux.reshape(2, mesh.ny, mesh.nx)
+    out = np.empty((mesh.ny, mesh.nx))
+    np.subtract(fx[:, 1:], fx[:, :-1], out=out[:, 1:])
+    np.subtract(fx[:, :1], fx[:, -1:], out=out[:, :1])
+    out += fy
+    out[1:] -= fy[:-1]
+    out[:1] -= fy[-1:]
+    out /= mesh.hx * mesh.hy
+    return out.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
 # array kernels (shared by the public wrappers and the time steppers)
 # ---------------------------------------------------------------------------
 
 def grad_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
     """Central cell gradient of per-cell values ``q``; (ncells, 2)."""
-    g = mesh.edge_len * (0.5 * (q[mesh.edge_L] - q[mesh.edge_K]))
-    ce = mesh.cell_edges
-    out = np.empty((mesh.ncells, 2))
+    q = q.reshape(mesh.ny, mesh.nx)
+    g = _neighbour(q, q)
+    g -= q
+    g *= 0.5
+    gx, gy = _scale_by_face_length(mesh, g)
+    out = np.empty((mesh.ny, mesh.nx, 2))
     # The half-difference toward the neighbour enters with + sign on both
     # sides of a face: the (q_L - q_K) flip and the normal flip cancel.
-    out[:, 0] = g[ce[:, 0]] + g[ce[:, 1]]
-    out[:, 1] = g[ce[:, 2]] + g[ce[:, 3]]
-    out /= mesh.cell_vol[:, None]
-    return out
+    np.add(gx[:, 1:], gx[:, :-1], out=out[:, 1:, 0])
+    np.add(gx[:, :1], gx[:, -1:], out=out[:, :1, 0])
+    np.add(gy[1:], gy[:-1], out=out[1:, :, 1])
+    np.add(gy[:1], gy[-1:], out=out[:1, :, 1])
+    out /= mesh.hx * mesh.hy
+    return out.reshape(mesh.ncells, 2)
 
 
 def div_values(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     """Divergence of per-cell vectors ``w`` (ncells, 2) from face averages."""
-    wn = 0.5 * (w[mesh.edge_K, mesh.edge_axis] + w[mesh.edge_L, mesh.edge_axis])
-    s = mesh.edge_len * wn
-    ce = mesh.cell_edges
-    out = (s[ce[:, 0]] - s[ce[:, 1]] + s[ce[:, 2]] - s[ce[:, 3]])
-    out /= mesh.cell_vol
-    return out
+    s = edge_normal_values(mesh, w).reshape(2, mesh.ny, mesh.nx)
+    return _net_outflow(mesh, _scale_by_face_length(mesh, s))
 
 
 def div_upwind_values(mesh: Mesh, q: np.ndarray, wplus: np.ndarray,
                       wminus: np.ndarray) -> np.ndarray:
     """Upwind divergence of per-cell values ``q`` for a pre-split velocity."""
-    flux = mesh.edge_len * (q[mesh.edge_K] * wplus + q[mesh.edge_L] * wminus)
-    ce = mesh.cell_edges
-    out = (flux[ce[:, 0]] - flux[ce[:, 1]] + flux[ce[:, 2]] - flux[ce[:, 3]])
-    out /= mesh.cell_vol
-    return out
+    shape = (2, mesh.ny, mesh.nx)
+    q = q.reshape(mesh.ny, mesh.nx)
+    flux = _neighbour(q, q)
+    flux *= wminus.reshape(shape)
+    flux += q * wplus.reshape(shape)
+    return _net_outflow(mesh, _scale_by_face_length(mesh, flux))
 
 
 def edge_normal_values(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     """Face-averaged normal component of per-cell vectors ``w``."""
-    return 0.5 * (w[mesh.edge_K, mesh.edge_axis] + w[mesh.edge_L, mesh.edge_axis])
+    w = w.reshape(mesh.ny, mesh.nx, 2)
+    out = _neighbour(w[..., 0], w[..., 1])
+    out += w.transpose(2, 0, 1)
+    out *= 0.5
+    return out.reshape(-1)
 
 
 def laplace_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
@@ -188,24 +238,6 @@ def project_vector(fx: Callable, fy: Callable, mesh: Mesh,
     return CellVector(mesh, out)
 
 
-def edge_average(q, edge: int | None = None):
-    """Arithmetic face average (q_K + q_L)/2.
-
-    With ``edge`` given, returns the single float (or 2-vector for a
-    :class:`CellVector`); otherwise the full per-face field.
-    """
-    mesh = q.mesh
-    if isinstance(q, CellVector):
-        avg = 0.5 * (q.values[mesh.edge_K] + q.values[mesh.edge_L])
-        if edge is not None:
-            return avg[edge]
-        return DualVector(mesh, avg)
-    avg = 0.5 * (q.values[mesh.edge_K] + q.values[mesh.edge_L])
-    if edge is not None:
-        return float(avg[edge])
-    return DualScalar(mesh, avg)
-
-
 # ---------------------------------------------------------------------------
 # gradients / divergences
 # ---------------------------------------------------------------------------
@@ -220,53 +252,9 @@ def div_primal(w: CellVector) -> CellScalar:
     return CellScalar(w.mesh, div_values(w.mesh, w.values))
 
 
-def grad_dual(q: CellScalar) -> DualVector:
-    """Two-point gradient on the dual cells, (|sigma|/|D_sigma|)(q_L - q_K) nu."""
-    mesh = q.mesh
-    out = np.zeros((mesh.nedges, 2))
-    out[np.arange(mesh.nedges), mesh.edge_axis] = (
-        mesh.edge_len * (q.values[mesh.edge_L] - q.values[mesh.edge_K])
-        / mesh.edge_dual_vol
-    )
-    return DualVector(mesh, out)
-
-
-def reconstruct_dual(q: CellScalar, weights=0.5) -> DualScalar:
-    """Convex two-point reconstruction onto dual cells.
-
-    ``weights`` is the per-face coefficient mu of the K-side value (scalar or
-    per-face array), required to lie in [0, 1].
-    """
-    mesh = q.mesh
-    mu = np.asarray(weights, dtype=np.float64)
-    if mu.ndim == 0:
-        mu = np.full(mesh.nedges, float(mu))
-    elif mu.shape != (mesh.nedges,):
-        raise ValueError("weights must be scalar or per-edge")
-    if np.any(mu < 0.0) or np.any(mu > 1.0):
-        raise ValueError("reconstruction weights must lie in [0, 1]")
-    vals = mu * q.values[mesh.edge_K] + (1.0 - mu) * q.values[mesh.edge_L]
-    return DualScalar(mesh, vals)
-
-
 # ---------------------------------------------------------------------------
 # upwind fluxes
 # ---------------------------------------------------------------------------
-
-def upwind_mass_flux(q: CellScalar, wpair: tuple[float, float],
-                     edge: int) -> float:
-    """Upwind flux |sigma| (q_K w+ + q_L w-) through one face."""
-    wplus, wminus = wpair
-    if wplus < 0.0:
-        raise ValueError(f"positive split part is negative: {wplus}")
-    if wminus > 0.0:
-        raise ValueError(f"negative split part is positive: {wminus}")
-    mesh = q.mesh
-    return float(
-        mesh.edge_len[edge]
-        * (q.values[mesh.edge_K[edge]] * wplus + q.values[mesh.edge_L[edge]] * wminus)
-    )
-
 
 def div_upwind(q: CellScalar, split_w: EdgeSplit) -> CellScalar:
     """Upwind divergence (1/|K|) sum over faces of the upwind flux."""

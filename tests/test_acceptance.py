@@ -159,21 +159,24 @@ def test_01_operator_identities():
         # conservativity: a face's flux enters its two cells with exactly
         # opposite volume-weighted contributions ...
         q_field = CellScalar(mesh, rng.standard_normal(mesh.ncells))
-        e = mesh.cell_edges[mesh.ncells // 2, 0]
+        e = mesh.ncells // 2  # the +x face of cell e
         wplus = np.zeros(mesh.nedges)
         wplus[e] = rng.uniform(0.5, 2.0)
         d = div_upwind(q_field, EdgeSplit(mesh, wplus,
                                           np.zeros(mesh.nedges))).values
-        K, L = mesh.edge_K[e], mesh.edge_L[e]
+        K, L = e, (e // n) * n + (e % n + 1) % n
         if mesh.cell_vol[K] * d[K] + mesh.cell_vol[L] * d[L] != 0.0:
             failures.append(f"single-face flux not antisymmetric on {n}^2")
         # ... so the total upwind mass flux telescopes to roundoff
         split = EdgeSplit(mesh, np.abs(rng.standard_normal(mesh.nedges)),
                           -np.abs(rng.standard_normal(mesh.nedges)))
         total = float(np.dot(mesh.cell_vol, div_upwind(q_field, split).values))
-        qk = q_field.values[mesh.edge_K]
-        ql = q_field.values[mesh.edge_L]
-        gross = float(np.abs(mesh.edge_len
+        q2 = q_field.values.reshape(n, n)
+        qk = np.concatenate((q2.ravel(), q2.ravel()))
+        ql = np.concatenate((np.roll(q2, -1, axis=1).ravel(),
+                             np.roll(q2, -1, axis=0).ravel()))
+        face_len = np.repeat((mesh.hy, mesh.hx), mesh.ncells)
+        gross = float(np.abs(face_len
                              * (split.wplus * qk + split.wminus * ql)).sum())
         if abs(total) > 1e-13 * gross:
             failures.append(f"upwind flux total {total:.2e} on {n}^2")

@@ -11,7 +11,6 @@ from apeuler.cases import incomp_initial_data
 from apeuler.fields import CellScalar, CellVector, cell_scalar, cell_vector
 from apeuler.incompressible import (
     BETA_2D,
-    BETA_3D,
     IncompConfig,
     IncompState,
     incomp_dt,
@@ -46,7 +45,6 @@ def test_config_validation():
 
 def test_beta_constants():
     assert BETA_2D == 0.125
-    assert BETA_3D == pytest.approx(1.0 / 12.0)
 
 
 def test_kinetic_energy_oracle(mesh4):
@@ -155,15 +153,6 @@ def test_incomp_dt_rest_state_returns_cap(mesh4):
     state = IncompState(0.0, cell_vector(mesh4, (0.0, 0.0)),
                         cell_scalar(mesh4, 0.0))
     assert incomp_dt(state, state.pi, cfg) == 0.25
-
-
-def test_incomp_dt_beta_3d_is_tighter(mesh4):
-    cfg = IncompConfig(t_final=1.0, dt_max=1.0)
-    state = IncompState(0.0, cell_vector(mesh4, (1.0, 0.0)),
-                        cell_scalar(mesh4, 0.0))
-    d2 = incomp_dt(state, state.pi, cfg, beta=BETA_2D)
-    d3 = incomp_dt(state, state.pi, cfg, beta=BETA_3D)
-    assert d3 == pytest.approx(d2 * (BETA_3D / BETA_2D), rel=1e-14)
 
 
 def test_incomp_step_energy_and_constraint(mesh16):

@@ -1,5 +1,5 @@
-"""Krylov solvers: hand-solvable systems, singular-system deflation, reported
-residuals, and the linearity guard."""
+"""Krylov solvers: hand-solvable systems, singular-system deflation and
+reported residuals."""
 
 import numpy as np
 import pytest
@@ -52,15 +52,6 @@ def test_transport_reported_residual_is_true_residual(rng):
     assert true <= 1e-11 * np.linalg.norm(b)
 
 
-def test_transport_diag_preconditioning(rng):
-    d = np.linspace(1.0, 1e4, 30)
-    m = np.diag(d) + rng.standard_normal((30, 30))
-    b = rng.standard_normal(30)
-    x, rep = solve_transport(_dense_op(m), b, tol=1e-11, diag=d)
-    assert rep.converged
-    np.testing.assert_allclose(m @ x, b, atol=1e-10 * np.linalg.norm(b))
-
-
 def test_transport_warm_start(rng):
     m = np.eye(10) + 0.1 * rng.standard_normal((10, 10))
     b = rng.standard_normal(10)
@@ -78,14 +69,6 @@ def test_transport_nonconvergence_is_flagged_not_raised(rng, caplog):
     assert not rep.converged
     assert rep.residual > 1e-14 * np.linalg.norm(b)
     assert any("did not converge" in r.message for r in caplog.records)
-
-
-def test_check_linearity_accepts_linear_rejects_affine(rng):
-    m = rng.standard_normal((6, 6))
-    _dense_op(m).check_linearity()
-    affine = LinearOperator(lambda x: m @ x + 1.0, 6)
-    with pytest.raises(ValueError):
-        affine.check_linearity()
 
 
 # ---------------------------------------------------------------------------

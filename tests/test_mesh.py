@@ -1,13 +1,11 @@
-"""Mesh geometry, topology, and regularity metrics."""
+"""Mesh geometry: sizes, cell centres and volumes."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from apeuler.mesh import Mesh, MeshSpec, build_uniform_mesh, mesh_regularity
+from apeuler.mesh import Mesh, MeshSpec
 
 
 def test_spec_rejects_degenerate_grids():
@@ -29,11 +27,6 @@ def test_2x2_geometry_by_hand(mesh2):
     assert mesh2.h == pytest.approx(math.hypot(0.5, 0.5), rel=1e-15)
     assert mesh2.domain_vol == 1.0
     np.testing.assert_allclose(mesh2.cell_vol, 0.25)
-    np.testing.assert_allclose(mesh2.cell_bnd, 2.0)
-    # every face: |sigma| = 1/2, d_sigma = 1/2, |D_sigma| = 1/4
-    np.testing.assert_allclose(mesh2.edge_len, 0.5)
-    np.testing.assert_allclose(mesh2.edge_dist, 0.5)
-    np.testing.assert_allclose(mesh2.edge_dual_vol, 0.25)
 
 
 def test_row_major_cell_centers():
@@ -45,81 +38,9 @@ def test_row_major_cell_centers():
     assert mesh.shape == (4, 2)
 
 
-def test_edge_orientation_and_incidence(mesh4):
-    mesh = mesh4
-    counts = np.bincount(mesh.cell_edges.ravel(), minlength=mesh.nedges)
-    # each face belongs to exactly two cells' lists
-    assert np.all(counts == 2)
-    k = np.arange(mesh.ncells)
-    # + faces list the owner (edge_K), - faces the neighbour (edge_L)
-    assert np.array_equal(mesh.edge_K[mesh.cell_edges[:, 0]], k)
-    assert np.array_equal(mesh.edge_L[mesh.cell_edges[:, 1]], k)
-    assert np.array_equal(mesh.edge_K[mesh.cell_edges[:, 2]], k)
-    assert np.array_equal(mesh.edge_L[mesh.cell_edges[:, 3]], k)
-    # axis bookkeeping: columns 0/1 cross x-faces, 2/3 cross y-faces
-    assert np.all(mesh.edge_axis[mesh.cell_edges[:, 0]] == 0)
-    assert np.all(mesh.edge_axis[mesh.cell_edges[:, 1]] == 0)
-    assert np.all(mesh.edge_axis[mesh.cell_edges[:, 2]] == 1)
-    assert np.all(mesh.edge_axis[mesh.cell_edges[:, 3]] == 1)
-
-
-def test_periodic_wraparound(mesh4):
-    mesh = mesh4
-    # +x neighbour of the last column wraps to column 0 of the same row
-    last_col = 3  # cell (i=3, j=0)
-    e = mesh.cell_edges[last_col, 0]
-    assert mesh.edge_K[e] == last_col
-    assert mesh.edge_L[e] == 0
-    # +y neighbour of the top row wraps to row 0
-    top = 3 * 4 + 1  # (i=1, j=3)
-    e = mesh.cell_edges[top, 2]
-    assert mesh.edge_L[e] == 1
-
-
-@given(nx=st.integers(2, 12), ny=st.integers(2, 12),
-       lx=st.floats(0.5, 3.0), ly=st.floats(0.5, 3.0))
-@settings(max_examples=40, deadline=None)
-def test_dual_tiling_per_axis(nx, ny, lx, ly):
-    # each axis family of dual cells tiles the domain once (so the two
-    # families together cover it twice)
-    mesh = Mesh(MeshSpec(nx, ny, lx, ly))
-    for axis in (0, 1):
-        sel = mesh.edge_axis == axis
-        total = float(mesh.edge_dual_vol[sel].sum())
-        assert total == pytest.approx(mesh.domain_vol, rel=1e-12)
-    assert float(mesh.edge_dual_vol.sum()) == pytest.approx(
-        2.0 * mesh.domain_vol, rel=1e-12)
-    assert float(mesh.cell_vol.sum()) == pytest.approx(
-        mesh.domain_vol, rel=1e-12)
-
-
-def test_regularity_uniform_square(mesh4):
-    rep = mesh_regularity(mesh4)
-    # |D_sigma| = d_sigma * |sigma| = hx * hy = |K| exactly on uniform grids
-    assert rep.theta_lo == pytest.approx(1.0, rel=1e-15)
-    assert rep.theta_hi == pytest.approx(1.0, rel=1e-15)
-    assert rep.alpha == pytest.approx(0.25 / mesh4.h, rel=1e-15)
-    assert rep.h == mesh4.h
-
-
-def test_regularity_anisotropic():
-    mesh = Mesh(MeshSpec(8, 2))  # hx = 1/8, hy = 1/2
-    rep = mesh_regularity(mesh)
-    # dual volumes equal the cell volume on any uniform rectangle
-    assert rep.theta_lo == pytest.approx(1.0, rel=1e-15)
-    assert rep.theta_hi == pytest.approx(1.0, rel=1e-15)
-    assert rep.alpha == pytest.approx(mesh.hx / mesh.h, rel=1e-15)
-
-
 def test_mesh_arrays_immutable(mesh2):
     with pytest.raises(ValueError):
         mesh2.cell_vol[0] = 7.0
     with pytest.raises(ValueError):
-        mesh2.edge_K[0] = 3
+        mesh2.cell_x[0, 0] = 3.0
 
-
-def test_build_uniform_mesh_matches_constructor():
-    spec = MeshSpec(6, 4)
-    a, b = build_uniform_mesh(spec), Mesh(spec)
-    assert a.shape == b.shape
-    np.testing.assert_array_equal(a.cell_edges, b.cell_edges)

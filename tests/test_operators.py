@@ -9,25 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apeuler.fields import CellScalar, CellVector, DualScalar, DualVector, cell_vector
-from apeuler.mesh import Mesh, MeshSpec, mesh_regularity
+from apeuler.fields import CellScalar, CellVector, cell_vector
+from apeuler.mesh import Mesh, MeshSpec
 from apeuler.operators import (
     EdgeSplit,
     _laplace_symbol,
     div_primal,
     div_upwind,
     div_upwind_values,
-    edge_average,
-    grad_dual,
+    div_values,
+    edge_normal_values,
     grad_primal,
+    grad_values,
     laplace_values,
     lp_norm,
     mean,
     project,
     project_vector,
-    reconstruct_dual,
     split_advective_velocity,
-    upwind_mass_flux,
 )
 
 # column pattern (0, 1, 0, -1) on the 4x2 unit mesh, constant in y
@@ -40,6 +39,41 @@ def _rand_scalar(mesh, rng) -> CellScalar:
 
 def _rand_vector(mesh, rng) -> CellVector:
     return CellVector(mesh, rng.standard_normal((mesh.ncells, 2)))
+
+
+def _roll_reference(mesh, w, q=None, wplus=None, wminus=None) -> dict:
+    """The four array kernels written with np.roll on (ny, nx) grids.
+
+    Face K of each family (x-faces first) lies between cell K and its +x
+    (+y) neighbour L; np.roll supplies that neighbour with periodic
+    wrap-around.  Every sum is taken in the kernels' order +x, -x, +y, -y.
+    """
+    ny, nx = mesh.ny, mesh.nx
+    vol = mesh.hx * mesh.hy
+    face_len = (mesh.hy, mesh.hx)
+
+    def plus(a, axis):   # value at the L cell of face K
+        return np.roll(a, -1, axis=1 - axis)
+
+    def minus(a, axis):  # value at face K's own -x (-y) neighbour
+        return np.roll(a, 1, axis=1 - axis)
+
+    def outflow(f):
+        return ((f[0] - minus(f[0], 0) + f[1] - minus(f[1], 1)) / vol).ravel()
+
+    w2 = w.reshape(ny, nx, 2)
+    wn = [0.5 * (w2[..., a] + plus(w2[..., a], a)) for a in (0, 1)]
+    out = {"edge_normal": np.concatenate([f.ravel() for f in wn]),
+           "div": outflow([face_len[a] * wn[a] for a in (0, 1)])}
+    if q is not None:
+        q2 = q.reshape(ny, nx)
+        g = [face_len[a] * (0.5 * (plus(q2, a) - q2)) for a in (0, 1)]
+        out["grad"] = np.stack([(g[a] + minus(g[a], a)) / vol
+                                for a in (0, 1)], axis=-1).reshape(-1, 2)
+        wp, wm = wplus.reshape(2, ny, nx), wminus.reshape(2, ny, nx)
+        out["div_upwind"] = outflow([
+            face_len[a] * (q2 * wp[a] + plus(q2, a) * wm[a]) for a in (0, 1)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -119,57 +153,6 @@ def test_project_rejects_bad_order(mesh4):
 
 
 # ---------------------------------------------------------------------------
-# edge averages and reconstructions
-# ---------------------------------------------------------------------------
-
-def test_edge_average_values(mesh2):
-    q = CellScalar(mesh2, [1.0, 3.0, 5.0, 7.0])
-    e = mesh2.cell_edges[0, 0]  # face between cells 0 and 1
-    assert edge_average(q, e) == pytest.approx(2.0)
-    full = edge_average(q)
-    assert isinstance(full, DualScalar)
-    assert full.values[e] == pytest.approx(2.0)
-
-
-def test_edge_average_constant_and_vector(mesh4, rng):
-    c = CellScalar(mesh4, np.full(mesh4.ncells, 4.5))
-    np.testing.assert_allclose(edge_average(c).values, 4.5)
-    w = _rand_vector(mesh4, rng)
-    avg = edge_average(w)
-    assert isinstance(avg, DualVector)
-    np.testing.assert_allclose(
-        avg.values,
-        0.5 * (w.values[mesh4.edge_K] + w.values[mesh4.edge_L]))
-
-
-def test_reconstruct_dual_endpoints(mesh4, rng):
-    q = _rand_scalar(mesh4, rng)
-    np.testing.assert_array_equal(reconstruct_dual(q, 1.0).values,
-                                  q.values[mesh4.edge_K])
-    np.testing.assert_allclose(
-        reconstruct_dual(q, 0.5).values, edge_average(q).values, rtol=1e-15)
-    with pytest.raises(ValueError):
-        reconstruct_dual(q, 1.5)
-    with pytest.raises(ValueError):
-        reconstruct_dual(q, np.full(mesh4.nedges, -0.1))
-
-
-@pytest.mark.parametrize("p", [1, 2])
-def test_reconstruction_stability(p, rng):
-    # ||R q||_{L^p} <= (2 d theta_hi)^{1/p} ||q||_{L^p} with d = 2
-    mesh = Mesh(MeshSpec(8, 8))
-    rep = mesh_regularity(mesh)
-    c = (4.0 * rep.theta_hi) ** (1.0 / p)
-    for _ in range(20):
-        q = _rand_scalar(mesh, rng)
-        mu = rng.uniform(0.0, 1.0, mesh.nedges)
-        r = reconstruct_dual(q, mu)
-        dual_norm = float(
-            np.dot(mesh.edge_dual_vol, np.abs(r.values) ** p)) ** (1.0 / p)
-        assert dual_norm <= c * lp_norm(q, p) + 1e-12
-
-
-# ---------------------------------------------------------------------------
 # gradients and divergences
 # ---------------------------------------------------------------------------
 
@@ -223,36 +206,22 @@ def test_grad_div_duality(n, rng):
         assert abs(a + b) <= 1e-12 * scale
 
 
-def test_grad_dual_constant(mesh4):
-    g = grad_dual(CellScalar(mesh4, np.full(mesh4.ncells, 3.0)))
-    np.testing.assert_array_equal(g.values, 0.0)
-
-
-def test_grad_dual_single_jump(mesh4):
-    # q = indicator of cell L: across that face |sigma|(1-0)/|D_sigma| = 4
-    e = mesh4.cell_edges[0, 0]
-    L = mesh4.edge_L[e]
-    q = np.zeros(mesh4.ncells)
-    q[L] = 1.0
-    g = grad_dual(CellScalar(mesh4, q))
-    assert mesh4.edge_len[e] == pytest.approx(0.25)
-    assert mesh4.edge_dual_vol[e] == pytest.approx(0.0625)
-    assert g.values[e, 0] == pytest.approx(4.0)
-    assert g.values[e, 1] == 0.0
-
-
-@pytest.mark.parametrize("p", [1, 2])
-def test_grad_dual_stability(p, rng):
-    # ||grad_E q||_{L^p} <= C ||q||_{L^p}, C = 2 (2 d theta_hi)^{1/p}/(mu alpha h)
-    mesh = Mesh(MeshSpec(8, 8))
-    rep = mesh_regularity(mesh)
-    c = 2.0 * (4.0 * rep.theta_hi) ** (1.0 / p) / (0.5 * rep.alpha * rep.h)
-    for _ in range(20):
-        q = _rand_scalar(mesh, rng)
-        g = grad_dual(q)
-        mag = np.abs(g.values).sum(axis=1)  # one nonzero component per face
-        dual_norm = float(np.dot(mesh.edge_dual_vol, mag ** p)) ** (1.0 / p)
-        assert dual_norm <= c * lp_norm(q, p) + 1e-12
+@pytest.mark.parametrize("nx, ny, lx, ly", [
+    (2, 2, 1.0, 1.0), (3, 5, 1.0, 1.0), (33, 32, 1.0, 1.0), (32, 16, 1.0, 0.7),
+])
+def test_kernels_match_roll_reference(nx, ny, lx, ly, rng):
+    # the slice stencils reproduce the periodic np.roll stencils bit for bit
+    mesh = Mesh(MeshSpec(nx, ny, lx, ly))
+    q = rng.standard_normal(mesh.ncells)
+    w = rng.standard_normal((mesh.ncells, 2))
+    wplus = np.abs(rng.standard_normal(mesh.nedges))
+    wminus = -np.abs(rng.standard_normal(mesh.nedges))
+    ref = _roll_reference(mesh, w, q, wplus, wminus)
+    assert np.array_equal(grad_values(mesh, q), ref["grad"])
+    assert np.array_equal(div_values(mesh, w), ref["div"])
+    assert np.array_equal(div_upwind_values(mesh, q, wplus, wminus),
+                          ref["div_upwind"])
+    assert np.array_equal(edge_normal_values(mesh, w), ref["edge_normal"])
 
 
 def test_laplace_eigenmode():
@@ -288,20 +257,6 @@ def test_laplace_symbol_kernel_is_exact():
 # upwind fluxes
 # ---------------------------------------------------------------------------
 
-def test_upwind_mass_flux_oracles(mesh4):
-    e = mesh4.cell_edges[0, 0]
-    q = np.full(mesh4.ncells, 0.0)
-    q[mesh4.edge_K[e]], q[mesh4.edge_L[e]] = 2.0, 3.0
-    qs = CellScalar(mesh4, q)
-    # |sigma| = 0.25: outflow picks the K value, inflow the L value
-    assert upwind_mass_flux(qs, (0.5, 0.0), e) == pytest.approx(0.25)
-    assert upwind_mass_flux(qs, (0.0, -0.5), e) == pytest.approx(-0.375)
-    with pytest.raises(ValueError):
-        upwind_mass_flux(qs, (-0.1, 0.0), e)
-    with pytest.raises(ValueError):
-        upwind_mass_flux(qs, (0.0, 0.1), e)
-
-
 def test_edge_split_validation(mesh4):
     n = mesh4.nedges
     with pytest.raises(ValueError):
@@ -316,20 +271,20 @@ def test_div_upwind_constant_field_uniform_flow(mesh4):
     # constant q and a uniform x-velocity: inflow and outflow fluxes are the
     # same float, so each cell's sum cancels exactly
     q = CellScalar(mesh4, np.full(mesh4.ncells, 1.7))
-    wplus = np.where(mesh4.edge_axis == 0, 0.8, 0.0)
+    wplus = np.concatenate((np.full(mesh4.ncells, 0.8), np.zeros(mesh4.ncells)))
     split = EdgeSplit(mesh4, wplus, np.zeros(mesh4.nedges))
     np.testing.assert_array_equal(div_upwind(q, split).values, 0.0)
 
 
 def test_div_upwind_single_edge_locality(mesh4, rng):
     q = _rand_scalar(mesh4, rng)
-    e = mesh4.cell_edges[5, 0]
+    # face K = 5 is the +x face of cell K = (i=1, j=1); L is its +x neighbour
+    K, L = 5, 6
     wplus = np.zeros(mesh4.nedges)
-    wplus[e] = 0.5
+    wplus[K] = 0.5
     split = EdgeSplit(mesh4, wplus, np.zeros(mesh4.nedges))
     d = div_upwind(q, split).values
-    K, L = mesh4.edge_K[e], mesh4.edge_L[e]
-    flux = upwind_mass_flux(q, (0.5, 0.0), e)
+    flux = mesh4.hy * q.values[K] * 0.5  # outflow carries the K value
     assert d[K] == pytest.approx(flux / mesh4.cell_vol[K], rel=1e-15)
     assert d[L] == pytest.approx(-flux / mesh4.cell_vol[L], rel=1e-15)
     others = np.setdiff1d(np.arange(mesh4.ncells), [K, L])
@@ -360,10 +315,8 @@ def test_split_advective_velocity(mesh4, rng):
     split = split_advective_velocity(u, du)
     assert np.all(split.wplus >= 0.0)
     assert np.all(split.wminus <= 0.0)
-    un = 0.5 * (u.values[mesh4.edge_K, mesh4.edge_axis]
-                + u.values[mesh4.edge_L, mesh4.edge_axis])
-    dn = 0.5 * (du.values[mesh4.edge_K, mesh4.edge_axis]
-                + du.values[mesh4.edge_L, mesh4.edge_axis])
+    un = _roll_reference(mesh4, u.values)["edge_normal"]
+    dn = _roll_reference(mesh4, du.values)["edge_normal"]
     np.testing.assert_allclose(split.wplus + split.wminus, un - dn,
                                rtol=1e-13, atol=1e-14)
     # crossed composition: the positive half carries u+ and -du-
@@ -375,8 +328,7 @@ def test_split_advective_velocity(mesh4, rng):
 def test_split_zero_correction_reduces_to_sign_split(mesh4, rng):
     u = _rand_vector(mesh4, rng)
     split = split_advective_velocity(u, cell_vector(mesh4, (0.0, 0.0)))
-    un = 0.5 * (u.values[mesh4.edge_K, mesh4.edge_axis]
-                + u.values[mesh4.edge_L, mesh4.edge_axis])
+    un = _roll_reference(mesh4, u.values)["edge_normal"]
     np.testing.assert_allclose(split.wplus, np.maximum(un, 0.0), atol=1e-15)
     np.testing.assert_allclose(split.wminus, np.minimum(un, 0.0), atol=1e-15)
 
