@@ -407,16 +407,16 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
 
 
 def velocity_update(rho_n: CellScalar, u_n: CellVector, rho_new: CellScalar,
-                    split_w: EdgeSplit, dt: float, eps: float,
-                    gamma: float = 2.0) -> CellVector:
+                    gp: np.ndarray, split_w: EdgeSplit, dt: float,
+                    eps: float) -> CellVector:
     """Explicit momentum balance, then division by the new density.
 
-    The upwind flux transports the donor-cell product rho^{n+1} u^n with the
-    same frozen split the density solve used, so the pair satisfies the
-    discrete mass/momentum balances with one common flux.
+    ``gp`` is grad p(rho^{n+1}) as an (ncells, 2) array.  The upwind flux
+    transports the donor-cell product rho^{n+1} u^n with the same frozen
+    split the density solve used, so the pair satisfies the discrete
+    mass/momentum balances with one common flux.
     """
     mesh = rho_n.mesh
-    gp = grad_values(mesh, eos_values(rho_new.values, gamma))
     m_new = np.empty((mesh.ncells, 2))
     for c in range(2):
         q = rho_new.values * u_n.values[:, c]
@@ -438,11 +438,11 @@ def comp_step(state: CompState, config: CompConfig,
 
     e_prev = total_energy(state.rho, state.u, eps, gamma)
     rho_new, split, eta, report = density_picard(state.rho, state.u, dt, config)
-    u_new = velocity_update(state.rho, state.u, rho_new, split, dt, eps, gamma)
+    gp_new = grad_values(mesh, eos_values(rho_new.values, gamma))
+    u_new = velocity_update(state.rho, state.u, rho_new, gp_new, split, dt, eps)
 
     energy = total_energy(rho_new, u_new, eps, gamma)
     entropy = total_entropy(rho_new, u_new, eps, gamma)
-    gp_new = grad_values(mesh, eos_values(rho_new.values, gamma))
     gp_sq = np.einsum("kc,kc->k", gp_new, gp_new)
     stab = (dt**2 / eps**4) * float(
         np.dot(mesh.cell_vol, (eta - 1.0 / rho_new.values) * gp_sq))

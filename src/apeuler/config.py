@@ -63,7 +63,6 @@ class ExperimentConfig:
     # limit scheme knobs
     eta: float = 1.515
     pressure_tol: float = 1e-10
-    pressure_max_iter: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -154,7 +153,6 @@ _PARSERS = {
     "transport_max_iter": _parse_int,
     "eta": _parse_float,
     "pressure_tol": _parse_float,
-    "pressure_max_iter": _optional(_parse_int),
 }
 
 
@@ -231,5 +229,4 @@ def comp_config(cfg: ExperimentConfig, eps: float) -> CompConfig:
 def incomp_config(cfg: ExperimentConfig) -> IncompConfig:
     return IncompConfig(
         eta=cfg.eta, cfl_fraction=cfg.cfl_fraction, t_final=cfg.t_final,
-        dt_max=cfg.dt_max, pressure_tol=cfg.pressure_tol,
-        pressure_max_iter=cfg.pressure_max_iter)
+        dt_max=cfg.dt_max, pressure_tol=cfg.pressure_tol)

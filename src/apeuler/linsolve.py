@@ -1,5 +1,9 @@
 """Matrix-free Krylov solvers: BiCGStab for nonsymmetric transport systems
-and deflated CG for the singular pressure system.
+and deflated CG for singular symmetric systems.
+
+The limit scheme's pressure system is solved directly in Fourier space
+(``incompressible.pressure_solve``); deflated CG is kept as the test
+reference for that spectral solve.
 
 Both solvers report the *recomputed* final residual ||Ax - b||_2, not the
 recursively updated one, so a ``converged`` report always means the returned

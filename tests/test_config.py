@@ -48,11 +48,10 @@ def test_parse_overrides_and_comments():
 
 
 def test_parse_none_for_optional_fields():
-    cfg = parse_config_text("dt_max = none\npressure_max_iter = NONE\n")
+    cfg = parse_config_text("dt_max = none\n")
     assert cfg.dt_max is None
-    assert cfg.pressure_max_iter is None
-    cfg = parse_config_text("pressure_max_iter = 250\n")
-    assert cfg.pressure_max_iter == 250
+    base = parse_config_text("dt_max = 0.5\n")
+    assert parse_config_text("dt_max = NONE\n", base=base).dt_max is None
 
 
 def test_parse_error_reports_line_numbers():

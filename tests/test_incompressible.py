@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from apeuler import incompressible
 from apeuler.cases import incomp_initial_data
 from apeuler.fields import CellScalar, CellVector, cell_scalar, cell_vector
 from apeuler.incompressible import (
@@ -21,9 +22,17 @@ from apeuler.incompressible import (
     pressure_solve,
     run_incomp,
 )
+from apeuler.linsolve import LinearOperator, solve_deflated_spd
 from apeuler.mesh import Mesh, MeshSpec
 from apeuler.analysis import eoc
-from apeuler.operators import div_values, laplace_values, lp_norm, mean
+from apeuler.operators import (
+    _laplace_symbol,
+    div_values,
+    grad_values,
+    laplace_values,
+    lp_norm,
+    mean,
+)
 
 
 def _shear_state(mesh):
@@ -129,10 +138,39 @@ def test_pressure_solve_argument_validation(mesh4):
         pressure_solve(v, 1.5, -0.01)
 
 
-def test_pressure_solve_nonconvergence_raises(mesh16, rng):
+def test_pressure_solve_nonconvergence_raises(mesh16, rng, monkeypatch):
+    # a wrong symbol gives a wrong inverse; the recomputed true residual
+    # against the stencil Laplacian must catch it
     v = CellVector(mesh16, rng.standard_normal((mesh16.ncells, 2)))
+    monkeypatch.setattr(incompressible, "_laplace_symbol",
+                        lambda mesh: 2.0 * _laplace_symbol(mesh))
     with pytest.raises(RuntimeError, match="pressure"):
-        pressure_solve(v, 1.5, 0.01, tol=1e-14, max_iter=0)
+        pressure_solve(v, 1.5, 0.01)
+
+
+@pytest.mark.parametrize("nx,ny,ly", [(3, 5, 1.0), (8, 6, 1.0),
+                                      (33, 32, 1.0), (32, 16, 0.7)])
+def test_spectral_pressure_matches_deflated_cg(nx, ny, ly, rng):
+    mesh = Mesh(MeshSpec(nx, ny, ly=ly))
+    v = CellVector(mesh, rng.standard_normal((mesh.ncells, 2)))
+    eta, dt = 1.515, 0.003
+    pi, report = pressure_solve(v, eta, dt)
+
+    b = -div_values(mesh, v.values)
+    A = LinearOperator(lambda q: -eta * dt * laplace_values(mesh, q),
+                       mesh.ncells)
+    basis = pressure_kernel_basis(mesh)
+    ref, ref_report = solve_deflated_spd(A, b, basis, tol=1e-13)
+    assert ref_report.converged
+    scale = float(np.linalg.norm(ref))
+    assert float(np.linalg.norm(pi.values - ref)) <= 1e-10 * scale
+
+    b_defl = b - basis @ (basis.T @ b)
+    assert report.converged and report.iterations == 1
+    assert report.residual <= 1e-12 * float(np.linalg.norm(b_defl))
+    # b lies in the range of div, so the removed part is roundoff
+    assert report.deflated_norm <= 1e-12 * float(np.linalg.norm(b))
+    np.testing.assert_allclose(basis.T @ pi.values, 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +184,25 @@ def test_incomp_dt_uniform_flow_oracle(mesh4):
                         cell_scalar(mesh4, 0.0))
     dt = incomp_dt(state, state.pi, cfg)
     assert dt == pytest.approx(0.9 / 128.0, rel=1e-14)
+
+
+def test_incomp_dt_matches_hypot_formula(rng):
+    mesh = Mesh(MeshSpec(33, 32, ly=0.7))
+    cfg = IncompConfig(t_final=1.0, dt_max=1.0)
+    state = IncompState(0.0, CellVector(mesh, rng.standard_normal((mesh.ncells, 2))),
+                        CellScalar(mesh, rng.standard_normal(mesh.ncells)))
+    # the per-face bound written with np.hypot, faces as mean of K and L
+    v = state.v.values.reshape(mesh.ny, mesh.nx, 2)
+    g = grad_values(mesh, state.pi.values).reshape(mesh.ny, mesh.nx, 2)
+    speeds = []
+    for axis in (1, 0):
+        va = 0.5 * (v + np.roll(v, -1, axis=axis))
+        ga = 0.5 * (g + np.roll(g, -1, axis=axis))
+        speeds.append(np.hypot(va[..., 0], va[..., 1]) + np.sqrt(
+            cfg.eta * np.hypot(ga[..., 0], ga[..., 1])))
+    geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
+    expect = cfg.cfl_fraction * BETA_2D / (geo * max(s.max() for s in speeds))
+    assert incomp_dt(state, state.pi, cfg) == pytest.approx(expect, rel=1e-14)
 
 
 def test_incomp_dt_rest_state_returns_cap(mesh4):
