@@ -6,9 +6,9 @@ The compressible scheme treats mass transport implicitly with an upwind
 flux driven by a pressure-stabilized advective velocity, which keeps the
 time step bounded away from zero as the Mach number drops while the total
 energy stays non-increasing.  The limit scheme replaces the density update
-by a deflated pressure Poisson solve.  The analysis layer compares
-refinement sequences of either scheme through Cesaro averages, first
-variances, and per-cell Wasserstein distances.
+by a pressure Poisson equation, solved directly in Fourier space.  The
+analysis layer compares refinement sequences of either scheme through
+Cesaro averages, first variances, and per-cell Wasserstein distances.
 """
 
 from .analysis import (
@@ -25,8 +25,6 @@ from .analysis import (
     make_ensemble,
     rel_energy_comp,
     rel_energy_incomp,
-    restrict,
-    second_order_pressure,
     w1_empirical,
 )
 from .compressible import (

@@ -35,7 +35,6 @@ __all__ = [
     "DeviationSeries",
     "comp_snapshot",
     "incomp_snapshot",
-    "restrict",
     "restrict_values",
     "restrict_snapshot",
     "make_ensemble",
@@ -43,7 +42,6 @@ __all__ = [
     "first_variance",
     "w1_empirical",
     "error_suite",
-    "second_order_pressure",
     "rel_energy_comp",
     "rel_energy_incomp",
     "eoc",
@@ -146,11 +144,6 @@ def restrict_values(values: np.ndarray, fine: Mesh, coarse: Mesh) -> np.ndarray:
     return blocks.mean(axis=(1, 3)).reshape(coarse.ncells)
 
 
-def restrict(fine: CellScalar, coarse: Mesh) -> CellScalar:
-    """Cell-average restriction of a scalar field onto a nested coarser grid."""
-    return CellScalar(coarse, restrict_values(fine.values, fine.mesh, coarse))
-
-
 def restrict_snapshot(snap: Snapshot, coarse: Mesh) -> Snapshot:
     rows = [restrict_values(row, snap.mesh, coarse) for row in snap.data]
     return Snapshot(coarse, np.stack(rows), snap.labels)
@@ -246,16 +239,6 @@ def error_suite(ensemble: Ensemble, ref_ensemble: Ensemble) -> ErrorReport:
 
     return ErrorReport(E1=e1, E2=e2, E3=e3, E4=e4,
                        grid=f"{mesh.nx}x{mesh.ny}")
-
-
-def second_order_pressure(p: CellScalar, eps: float) -> CellScalar:
-    """Mean-free pressure fluctuation scaled by 1/eps^2 — the part of the
-    pressure that survives the low-Mach limit."""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    mesh = p.mesh
-    m = float(np.dot(mesh.cell_vol, p.values)) / mesh.domain_vol
-    return CellScalar(mesh, (p.values - m) / eps**2)
 
 
 def rel_energy_comp(rho: CellScalar, m: CellVector, r: CellScalar,

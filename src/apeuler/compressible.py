@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import CellScalar, CellVector
-from .linsolve import LinearOperator, SolveReport, solve_transport
+from .linsolve import SolveReport, solve_transport
 from .mesh import Mesh
 from .operators import (
     EdgeSplit,
@@ -49,9 +49,9 @@ __all__ = [
     "CompState",
     "StepDiagnostics",
     "Trajectory",
-    "eos",
-    "psi",
-    "pi_gamma",
+    "eos_values",
+    "psi_values",
+    "pi_gamma_values",
     "init_comp",
     "stabilization",
     "eta_rule",
@@ -98,6 +98,8 @@ class CompConfig:
             raise ValueError("iteration limits must be at least 1")
         if self.dt_max is None:
             object.__setattr__(self, "dt_max", self.t_final / 50.0)
+        elif not self.dt_max > 0.0:
+            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
 
 @dataclass
@@ -167,34 +169,22 @@ def _check_positive(rho: np.ndarray) -> None:
 
 
 def eos_values(rho: np.ndarray, gamma: float) -> np.ndarray:
+    """Pressure p = rho^gamma."""
     _check_positive(rho)
     return rho ** gamma
 
 
 def psi_values(rho: np.ndarray, gamma: float) -> np.ndarray:
+    """Pressure potential (internal energy density) rho^gamma/(gamma-1)."""
     _check_positive(rho)
     return rho ** gamma / (gamma - 1.0)
 
 
 def pi_gamma_values(rho: np.ndarray, gamma: float) -> np.ndarray:
+    """Relative internal energy: psi minus its affine part at rho = 1."""
     _check_positive(rho)
     # psi(rho) - psi(1) - psi'(1)(rho - 1) with psi'(1) = gamma/(gamma-1)
     return (rho ** gamma - 1.0 - gamma * (rho - 1.0)) / (gamma - 1.0)
-
-
-def eos(rho: CellScalar, gamma: float) -> CellScalar:
-    """Pressure p = rho^gamma."""
-    return CellScalar(rho.mesh, eos_values(rho.values, gamma))
-
-
-def psi(rho: CellScalar, gamma: float) -> CellScalar:
-    """Pressure potential (internal energy density) rho^gamma/(gamma-1)."""
-    return CellScalar(rho.mesh, psi_values(rho.values, gamma))
-
-
-def pi_gamma(rho: CellScalar, gamma: float) -> CellScalar:
-    """Relative internal energy: psi minus its affine part at rho = 1."""
-    return CellScalar(rho.mesh, pi_gamma_values(rho.values, gamma))
 
 
 def total_energy(rho: CellScalar, u: CellVector, eps: float, gamma: float) -> float:
@@ -373,9 +363,8 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
             rho_bar = float(np.dot(mesh.cell_vol, rho_l)) / mesh.domain_vol
             beta = coef * config.gamma * rho_bar ** config.gamma
             minv = _spectral_inverse(mesh, beta)
-            A = LinearOperator(lambda y, _a=apply, _m=minv: _a(_m(y)),
-                               mesh.ncells)
-            y, report = solve_transport(A, r0, tol=target / r0_norm,
+            y, report = solve_transport(lambda y: apply(minv(y)), r0,
+                                        tol=target / r0_norm,
                                         max_iter=config.transport_max_iter)
             if not report.converged:
                 raise RuntimeError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .compressible import CompConfig
 from .incompressible import IncompConfig
@@ -39,30 +40,30 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one sweep needs; scheme-level knobs are passed through to
-    the per-run configs untouched."""
+    """Everything one sweep needs; a field named like a ``CompConfig`` or
+    ``IncompConfig`` field (``eps`` aside) takes its default from there and
+    is passed through to the per-run configs untouched."""
 
     mode: str = "compressible"
     grids: tuple[int, ...] = (32, 64, 128)
     eps: tuple[float, ...] = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
-    gamma: float = 2.0
-    t_final: float = 0.02
+    gamma: float = CompConfig.gamma
+    t_final: float = CompConfig.t_final
     ref_grid: int = 512
     output_count: int = 10
     outdir: str = "out"
-    seed: int = 0
     workers: int = 1
     # compressible scheme knobs
-    eta_margin: float = 1.01
-    cfl_fraction: float = 0.9
-    dt_max: float | None = None
-    picard_tol: float = 1e-11
-    picard_max_iter: int = 50
-    transport_tol: float = 1e-12
-    transport_max_iter: int = 400
+    eta_margin: float = CompConfig.eta_margin
+    cfl_fraction: float = CompConfig.cfl_fraction
+    dt_max: float | None = CompConfig.dt_max
+    picard_tol: float = CompConfig.picard_tol
+    picard_max_iter: int = CompConfig.picard_max_iter
+    transport_tol: float = CompConfig.transport_tol
+    transport_max_iter: int = CompConfig.transport_max_iter
     # limit scheme knobs
-    eta: float = 1.515
-    pressure_tol: float = 1e-10
+    eta: float = IncompConfig.eta
+    pressure_tol: float = IncompConfig.pressure_tol
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -97,8 +98,8 @@ class ExperimentConfig:
             raise ConfigError(f"t_final must be positive, got {self.t_final}")
         if self.output_count < 2:
             raise ConfigError("output_count must be at least 2")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        if self.dt_max is not None and not self.dt_max > 0.0:
+            raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
 
@@ -107,53 +108,18 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(","))
-
-
-def _optional(parser):
-    def parse(text: str):
-        return None if text.lower() == "none" else parser(text)
-    return parse
-
-
-_PARSERS = {
-    "mode": _parse_str,
-    "grids": _parse_int_list,
-    "eps": _parse_float_list,
-    "gamma": _parse_float,
-    "t_final": _parse_float,
-    "ref_grid": _parse_int,
-    "output_count": _parse_int,
-    "outdir": _parse_str,
-    "seed": _parse_int,
-    "workers": _parse_int,
-    "eta_margin": _parse_float,
-    "cfl_fraction": _parse_float,
-    "dt_max": _optional(_parse_float),
-    "picard_tol": _parse_float,
-    "picard_max_iter": _parse_int,
-    "transport_tol": _parse_float,
-    "transport_max_iter": _parse_int,
-    "eta": _parse_float,
-    "pressure_tol": _parse_float,
+#: value parser per field type; list values are comma-separated
+_TYPE_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    tuple[int, ...]: lambda text: tuple(int(tok) for tok in text.split(",")),
+    tuple[float, ...]: lambda text: tuple(float(tok) for tok in text.split(",")),
+    float | None: lambda text: None if text.lower() == "none" else float(text),
 }
+
+_PARSERS = {name: _TYPE_PARSERS[hint]
+            for name, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None,
@@ -216,17 +182,15 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(render_config(cfg).encode("utf-8")).hexdigest()[:16]
 
 
+def _shared(cfg: ExperimentConfig, scheme: type) -> dict:
+    """The values of ``cfg`` for the fields it shares with ``scheme``."""
+    return {f.name: getattr(cfg, f.name) for f in fields(scheme)
+            if f.name in _PARSERS}
+
+
 def comp_config(cfg: ExperimentConfig, eps: float) -> CompConfig:
-    return CompConfig(
-        gamma=cfg.gamma, eps=eps, eta_margin=cfg.eta_margin,
-        cfl_fraction=cfg.cfl_fraction, t_final=cfg.t_final,
-        dt_max=cfg.dt_max, picard_tol=cfg.picard_tol,
-        picard_max_iter=cfg.picard_max_iter,
-        transport_tol=cfg.transport_tol,
-        transport_max_iter=cfg.transport_max_iter)
+    return CompConfig(**{**_shared(cfg, CompConfig), "eps": eps})
 
 
 def incomp_config(cfg: ExperimentConfig) -> IncompConfig:
-    return IncompConfig(
-        eta=cfg.eta, cfl_fraction=cfg.cfl_fraction, t_final=cfg.t_final,
-        dt_max=cfg.dt_max, pressure_tol=cfg.pressure_tol)
+    return IncompConfig(**_shared(cfg, IncompConfig))

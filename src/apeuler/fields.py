@@ -7,7 +7,7 @@ float64 so downstream arithmetic is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "CellScalar",
     "CellVector",
     "cell_scalar",
-    "cell_vector",
 ]
 
 
@@ -38,9 +37,6 @@ class CellScalar:
     def __post_init__(self) -> None:
         self.values = _coerce(self.values, (self.mesh.ncells,), "CellScalar")
 
-    def copy(self) -> "CellScalar":
-        return CellScalar(self.mesh, self.values.copy())
-
 
 @dataclass
 class CellVector:
@@ -52,22 +48,7 @@ class CellVector:
     def __post_init__(self) -> None:
         self.values = _coerce(self.values, (self.mesh.ncells, 2), "CellVector")
 
-    def copy(self) -> "CellVector":
-        return CellVector(self.mesh, self.values.copy())
-
-    def component(self, c: int) -> CellScalar:
-        return CellScalar(self.mesh, self.values[:, c].copy())
-
 
 def cell_scalar(mesh: Mesh, fill: float = 0.0) -> CellScalar:
     """Constant scalar field."""
     return CellScalar(mesh, np.full(mesh.ncells, float(fill)))
-
-
-def cell_vector(mesh: Mesh, fill=(0.0, 0.0)) -> CellVector:
-    """Constant vector field."""
-    vx, vy = fill
-    out = np.empty((mesh.ncells, 2))
-    out[:, 0] = vx
-    out[:, 1] = vy
-    return CellVector(mesh, out)

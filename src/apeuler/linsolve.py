@@ -1,6 +1,8 @@
 """Matrix-free Krylov solvers: BiCGStab for nonsymmetric transport systems
 and deflated CG for singular symmetric systems.
 
+An operator is any callable that maps a flat float64 vector to its image.
+
 The limit scheme's pressure system is solved directly in Fourier space
 (``incompressible.pressure_solve``); deflated CG is kept as the test
 reference for that spectral solve.
@@ -22,18 +24,9 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-__all__ = ["LinearOperator", "SolveReport", "solve_transport", "solve_deflated_spd"]
+__all__ = ["SolveReport", "solve_transport", "solve_deflated_spd"]
 
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """A matrix-free linear map on flat float64 vectors of a fixed dimension."""
-
-    apply: Callable[[np.ndarray], np.ndarray]
-    dimension: int
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
+Operator = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -55,14 +48,14 @@ def _true_residual(A, b, x) -> float:
     return float(np.linalg.norm(b - A(x)))
 
 
-def solve_transport(A: LinearOperator, b: np.ndarray, tol: float = 1e-10,
-                    max_iter: int = 400,
-                    x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Unpreconditioned BiCGStab.
+def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
+                    max_iter: int = 400) -> tuple[np.ndarray, SolveReport]:
+    """Unpreconditioned BiCGStab from a zero initial guess.
 
-    Solves A x = b to ``||Ax - b||_2 <= tol * ||b||_2``; ``x0`` warm-starts
-    the iteration.  Callers precondition by composing it into ``A``.
-    Non-convergence is flagged on the report and logged, never silent.
+    Solves A x = b to ``||Ax - b||_2 <= tol * ||b||_2``, where ``A`` is a
+    callable applying the operator.  Callers precondition by composing it
+    into ``A``.  Non-convergence is flagged on the report and logged, never
+    silent.
     """
     b = np.asarray(b, dtype=np.float64)
     bnorm = float(np.linalg.norm(b))
@@ -70,8 +63,8 @@ def solve_transport(A: LinearOperator, b: np.ndarray, tol: float = 1e-10,
         return np.zeros_like(b), SolveReport(0, 0.0, True)
     target = tol * bnorm
 
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - A(x)
+    x = np.zeros_like(b)
+    r = b.copy()
     r_hat = r.copy()
     rho_prev = alpha = omega = 1.0
     v = np.zeros_like(b)
@@ -126,20 +119,18 @@ def _project_out(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def solve_deflated_spd(A: LinearOperator, b: np.ndarray,
+def solve_deflated_spd(A: Operator, b: np.ndarray,
                        null_basis: np.ndarray, tol: float = 1e-10,
                        max_iter: int | None = None,
-                       x0: np.ndarray | None = None,
-                       precond: Callable[[np.ndarray], np.ndarray] | None = None,
                        ) -> tuple[np.ndarray, SolveReport]:
-    """Conjugate gradients for a symmetric positive semidefinite system.
+    """Unpreconditioned conjugate gradients for a symmetric positive
+    semidefinite system, from a zero initial guess.
 
-    ``null_basis`` is an (n, k) matrix whose columns span the operator's
-    kernel; it is orthonormalized once, the matching component of ``b`` is
-    removed (its norm lands in ``deflated_norm``), and both residual and
-    iterate are re-projected every iteration.  ``precond`` applies an SPD
-    approximate inverse (preconditioned update directions are re-projected
-    too).  The returned solution is orthogonal to the kernel.
+    ``A`` is a callable applying the operator.  ``null_basis`` is an (n, k)
+    matrix whose columns span its kernel; it is orthonormalized once, the
+    matching component of ``b`` is removed (its norm lands in
+    ``deflated_norm``), and both residual and iterate are re-projected every
+    iteration.  The returned solution is orthogonal to the kernel.
     """
     b = np.asarray(b, dtype=np.float64)
     basis = np.asarray(null_basis, dtype=np.float64)
@@ -157,16 +148,10 @@ def solve_deflated_spd(A: LinearOperator, b: np.ndarray,
     if max_iter is None:
         max_iter = 2 * b.shape[0]
 
-    def precondition(v: np.ndarray) -> np.ndarray:
-        return v if precond is None else _project_out(basis, precond(v))
-
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
-    _project_out(basis, x)
-    r = b_defl - A(x)
-    _project_out(basis, r)
-    z = precondition(r)
-    p = z.copy()
-    rz = float(np.dot(r, z))
+    x = np.zeros_like(b)
+    r = b_defl.copy()
+    p = r.copy()
+    rr = float(np.dot(r, r))
     iterations = 0
 
     while iterations < max_iter:
@@ -178,15 +163,14 @@ def solve_deflated_spd(A: LinearOperator, b: np.ndarray,
             log.warning("pressure operator lost positive definiteness "
                         "(p'Ap = %.3e); returning current iterate", pAp)
             break
-        alpha = rz / pAp
+        alpha = rr / pAp
         x += alpha * p
         r -= alpha * Ap
         _project_out(basis, r)
         _project_out(basis, x)
-        z = precondition(r)
-        rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        rr_new = float(np.dot(r, r))
+        p = r + (rr_new / rr) * p
+        rr = rr_new
         iterations += 1
 
     residual = _true_residual(A, b_defl, x)

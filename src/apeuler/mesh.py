@@ -69,10 +69,6 @@ class Mesh:
         for arr in (self.cell_x, self.cell_vol):
             arr.setflags(write=False)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nx, self.ny)
-
     def __repr__(self) -> str:
         return (f"Mesh({self.nx}x{self.ny} on [{self.lx} x {self.ly}], "
                 f"h={self.h:.6g})")

@@ -32,11 +32,12 @@ __all__ = [
     "EdgeSplit",
     "project",
     "project_vector",
-    "grad_primal",
-    "div_primal",
-    "div_upwind",
+    "grad_values",
+    "div_values",
+    "div_upwind_values",
+    "edge_normal_values",
+    "laplace_values",
     "split_advective_velocity",
-    "mean",
     "lp_norm",
 ]
 
@@ -87,7 +88,7 @@ def _net_outflow(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# array kernels (shared by the public wrappers and the time steppers)
+# array kernels (shared by the time steppers and the diagnostics)
 # ---------------------------------------------------------------------------
 
 def grad_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
@@ -239,40 +240,8 @@ def project_vector(fx: Callable, fy: Callable, mesh: Mesh,
 
 
 # ---------------------------------------------------------------------------
-# gradients / divergences
+# norms
 # ---------------------------------------------------------------------------
-
-def grad_primal(q: CellScalar) -> CellVector:
-    """Cell gradient built from face averages (central on uniform grids)."""
-    return CellVector(q.mesh, grad_values(q.mesh, q.values))
-
-
-def div_primal(w: CellVector) -> CellScalar:
-    """Cell divergence from face-averaged normal components."""
-    return CellScalar(w.mesh, div_values(w.mesh, w.values))
-
-
-# ---------------------------------------------------------------------------
-# upwind fluxes
-# ---------------------------------------------------------------------------
-
-def div_upwind(q: CellScalar, split_w: EdgeSplit) -> CellScalar:
-    """Upwind divergence (1/|K|) sum over faces of the upwind flux."""
-    if split_w.mesh is not q.mesh:
-        raise ValueError("field and split live on different meshes")
-    return CellScalar(
-        q.mesh, div_upwind_values(q.mesh, q.values, split_w.wplus, split_w.wminus)
-    )
-
-
-# ---------------------------------------------------------------------------
-# means and norms
-# ---------------------------------------------------------------------------
-
-def mean(q: CellScalar) -> float:
-    """Volume-weighted mean over the domain."""
-    return float(np.dot(q.mesh.cell_vol, q.values) / q.mesh.domain_vol)
-
 
 def lp_norm(q, p) -> float:
     """Volume-weighted L^p norm, p in {1, 2, inf}.

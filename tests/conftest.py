@@ -1,9 +1,17 @@
-"""Shared fixtures: small meshes and a seeded generator."""
+"""Shared fixtures: small meshes and a seeded generator, plus a constant
+vector-field helper."""
 
 import numpy as np
 import pytest
 
+from apeuler.fields import CellVector
 from apeuler.mesh import Mesh, MeshSpec
+
+
+def cell_vector(mesh: Mesh, fill=(0.0, 0.0)) -> CellVector:
+    """Constant vector field."""
+    return CellVector(mesh, np.tile(np.asarray(fill, dtype=np.float64),
+                                    (mesh.ncells, 1)))
 
 
 @pytest.fixture

@@ -84,8 +84,9 @@ def test_parse_layers_on_base():
     "gamma = 1.0",
     "t_final = 0.0",
     "output_count = 1",
-    "seed = -1",
     "workers = 0",
+    "dt_max = 0",
+    "dt_max = -0.001",
 ])
 def test_validation_rejections(text):
     with pytest.raises(ConfigError):
@@ -114,7 +115,7 @@ def test_config_hash_stability_and_sensitivity():
     a = default_config()
     assert config_hash(a) == config_hash(default_config())
     assert len(config_hash(a)) == 16
-    b = parse_config_text("seed = 1\n")
+    b = parse_config_text("workers = 2\n")
     assert config_hash(a) != config_hash(b)
 
 

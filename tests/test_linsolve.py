@@ -4,12 +4,12 @@ reported residuals."""
 import numpy as np
 import pytest
 
-from apeuler.linsolve import LinearOperator, solve_deflated_spd, solve_transport
+from apeuler.linsolve import solve_deflated_spd, solve_transport
 
 
-def _dense_op(m: np.ndarray) -> LinearOperator:
+def _dense_op(m: np.ndarray):
     m = np.asarray(m, dtype=np.float64)
-    return LinearOperator(lambda x: m @ x, m.shape[0])
+    return lambda x: m @ x
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +50,6 @@ def test_transport_reported_residual_is_true_residual(rng):
     true = float(np.linalg.norm(b - op(x)))
     assert rep.residual == pytest.approx(true, rel=1e-12, abs=1e-300)
     assert true <= 1e-11 * np.linalg.norm(b)
-
-
-def test_transport_warm_start(rng):
-    m = np.eye(10) + 0.1 * rng.standard_normal((10, 10))
-    b = rng.standard_normal(10)
-    exact = np.linalg.solve(m, b)
-    x, rep = solve_transport(_dense_op(m), b, tol=1e-12, x0=exact)
-    assert rep.converged
-    assert rep.iterations <= 1
 
 
 def test_transport_nonconvergence_is_flagged_not_raised(rng, caplog):
@@ -126,17 +117,6 @@ def test_deflated_manufactured_solution(rng):
     x, rep = solve_deflated_spd(op, b, np.ones((n, 1)), tol=1e-12)
     assert rep.converged
     np.testing.assert_allclose(x, x_star, atol=1e-9)
-
-
-def test_deflated_preconditioner_matches_plain(rng):
-    b = rng.standard_normal(4)
-    x_plain, _ = solve_deflated_spd(_dense_op(CYCLE4), b, ONES4, tol=1e-13)
-    minv = np.linalg.pinv(CYCLE4)
-    x_pre, rep = solve_deflated_spd(_dense_op(CYCLE4), b, ONES4, tol=1e-13,
-                                    precond=lambda v: minv @ v)
-    assert rep.converged
-    assert rep.iterations <= 1  # exact inverse: one step
-    np.testing.assert_allclose(x_pre, x_plain, atol=1e-11)
 
 
 def test_deflated_converged_means_tolerance_met(rng):

@@ -35,7 +35,6 @@ def test_row_major_cell_centers():
     assert mesh.cell_x[0] == pytest.approx([0.125, 0.25])
     assert mesh.cell_x[3] == pytest.approx([0.875, 0.25])
     assert mesh.cell_x[4] == pytest.approx([0.125, 0.75])
-    assert mesh.shape == (4, 2)
 
 
 def test_mesh_arrays_immutable(mesh2):
