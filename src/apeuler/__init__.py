@@ -39,7 +39,7 @@ from .compressible import (
 )
 from .config import ExperimentConfig, config_hash, load_config
 from .fields import CellScalar, CellVector
-from .harness import OutputBundle, run_case_study_A, run_case_study_B, run_experiment
+from .harness import OutputBundle, run_experiment
 from .incompressible import (
     IncompConfig,
     IncompState,

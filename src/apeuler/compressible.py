@@ -98,7 +98,7 @@ class CompConfig:
             raise ValueError("iteration limits must be at least 1")
         if self.dt_max is None:
             object.__setattr__(self, "dt_max", self.t_final / 50.0)
-        elif not self.dt_max > 0.0:
+        if not self.dt_max > 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
 

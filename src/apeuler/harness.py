@@ -10,9 +10,12 @@ divergence on the finest grid.  The limit study sweeps grids, reporting
 E1--E4, relative energy and L2 error against the finest run (with rates),
 and the cross-scheme relative energy versus eps on its finest sweep grid.
 
-Sweep cells are independent; failures are caught per cell, recorded in the
-bundle, and never block the remaining cells or tables.  All files land
-under the configured output directory with the config hash stamped in.
+A sweep cell is one run: (scheme, grid) for the limit scheme, (scheme,
+grid, eps) for the compressible one.  An experiment runs the union of its
+studies' cells once, then writes each study's bundle from the shared
+results.  A failure is caught in its cell, recorded in every bundle that
+needs the cell, and blocks no other cell or table.  All files land under
+the configured output directory with the config hash stamped in.
 """
 
 from __future__ import annotations
@@ -46,12 +49,7 @@ from .output import write_csv, write_field_csv
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "OutputBundle",
-    "run_case_study_A",
-    "run_case_study_B",
-    "run_experiment",
-]
+__all__ = ["OutputBundle", "run_experiment"]
 
 
 @dataclass
@@ -95,35 +93,24 @@ def _job_label(key: tuple) -> str:
     return f"incomp k={key[1]}"
 
 
-def _sweep(jobs: dict, workers: int) -> tuple[dict, list[str]]:
-    """Run independent cells, isolating failures to their own cell."""
-    results: dict = {}
-    failures: list[str] = []
+def _run_cell(cfg: ExperimentConfig, key: tuple) -> Trajectory:
+    log.info("running %s", _job_label(key))
+    job = _comp_job if key[0] == "comp" else _incomp_job
+    return job(cfg, *key[1:])
 
-    def finish(key, outcome):
-        traj, exc = outcome
-        if exc is None:
-            results[key] = traj
-        else:
-            log.warning("sweep cell failed: %s: %s", _job_label(key), exc)
-            failures.append(f"{_job_label(key)}: {exc}")
 
-    def guarded(fn, *args):
-        try:
-            return fn(*args), None
-        except Exception as exc:  # cell isolation is the whole point
-            return None, exc
-
-    if workers <= 1 or len(jobs) <= 1:
-        for key, (fn, *args) in jobs.items():
-            log.info("running %s", _job_label(key))
-            finish(key, guarded(fn, *args))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {key: pool.submit(guarded, fn, *args)
-                       for key, (fn, *args) in jobs.items()}
-            for key, fut in futures.items():
-                finish(key, fut.result())
+def _sweep(cfg: ExperimentConfig, cells) -> tuple[dict, dict]:
+    """Run each cell once on ``cfg.workers`` threads; returns trajectories
+    and failure messages keyed by cell, a failure confined to its cell."""
+    results, failures = {}, {}
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        futures = {key: pool.submit(_run_cell, cfg, key) for key in cells}
+        for key, fut in futures.items():
+            try:
+                results[key] = fut.result()
+            except Exception as exc:  # cell isolation is the whole point
+                log.warning("sweep cell failed: %s: %s", _job_label(key), exc)
+                failures[key] = f"{_job_label(key)}: {exc}"
     return results, failures
 
 
@@ -192,24 +179,23 @@ def _error_table(path: Path, snaps: dict, sweep_grids, all_grids, time: float,
     return write_csv(path, ["k", "h", "E1", "E2", "E3", "E4"], rows, chash)
 
 
-def run_case_study_A(cfg: ExperimentConfig) -> OutputBundle:
-    """Compressible sweep over (grid, eps) with limit-scheme companions."""
-    chash = config_hash(cfg)
-    outdir = Path(cfg.outdir)
-    bundle = OutputBundle(outdir=outdir, config_hash=chash)
-    all_grids = sorted(set(cfg.grids) | {cfg.ref_grid})
+def _all_grids(cfg: ExperimentConfig) -> list[int]:
+    return sorted(set(cfg.grids) | {cfg.ref_grid})
 
-    jobs: dict = {}
-    for g in all_grids:
-        jobs[("incomp", g)] = (_incomp_job, cfg, g)
-        for eps in cfg.eps:
-            jobs[("comp", g, eps)] = (_comp_job, cfg, g, eps)
-    results, failures = _sweep(jobs, cfg.workers)
-    bundle.failures.extend(failures)
 
-    bundle.files += _write_runs(outdir, results, cfg.gamma, chash)
+def _comp_cells(cfg: ExperimentConfig) -> list[tuple]:
+    """Compressible study: every (grid, eps) with its limit companion."""
+    cells: list[tuple] = []
+    for g in _all_grids(cfg):
+        cells.append(("incomp", g))
+        cells += [("comp", g, eps) for eps in cfg.eps]
+    return cells
 
-    tables = outdir / "tables"
+
+def _comp_tables(cfg: ExperimentConfig, results: dict, tables: Path,
+                 chash: str) -> list[Path]:
+    files: list[Path] = []
+    all_grids = _all_grids(cfg)
     for g in all_grids:
         sup_rows, gap_rows = [], []
         for eps in cfg.eps:
@@ -224,11 +210,11 @@ def run_case_study_A(cfg: ExperimentConfig) -> OutputBundle:
                                   - limit.states[-1].v.values)
                 gap_rows.append((eps, lp_norm(diff, 1)))
         if sup_rows:
-            bundle.files.append(write_csv(
+            files.append(write_csv(
                 tables / f"density_sup_k{g}.csv", ["eps", "sup_lgamma"],
                 sup_rows, chash))
         if gap_rows:
-            bundle.files.append(write_csv(
+            files.append(write_csv(
                 tables / f"velocity_gap_k{g}.csv", ["eps", "l1_gap"],
                 gap_rows, chash))
 
@@ -238,14 +224,13 @@ def run_case_study_A(cfg: ExperimentConfig) -> OutputBundle:
             continue
         snaps = {g: comp_snapshot(results[("comp", g, eps)].states[-1])
                  for g in all_grids}
-        bundle.files.append(_error_table(
+        files.append(_error_table(
             tables / f"errors_comp_eps{_eps_tag(eps)}.csv", snaps,
             cfg.grids, all_grids, cfg.t_final, chash))
 
-    g_fin = all_grids[-1]
     div_rows = []
     for eps in cfg.eps:
-        comp = results.get(("comp", g_fin, eps))
+        comp = results.get(("comp", all_grids[-1], eps))
         if comp is None:
             continue
         mesh = comp.mesh
@@ -253,37 +238,28 @@ def run_case_study_A(cfg: ExperimentConfig) -> OutputBundle:
         l2 = float(np.sqrt(np.dot(mesh.cell_vol, div**2)))
         div_rows.append((eps, l2, float(np.abs(div).max())))
     if div_rows:
-        bundle.files.append(write_csv(
+        files.append(write_csv(
             tables / "div_residual.csv", ["eps", "div_l2", "div_linf"],
             div_rows, chash))
-
-    _write_manifest(bundle)
-    return bundle
+    return files
 
 
-def run_case_study_B(cfg: ExperimentConfig) -> OutputBundle:
-    """Limit-scheme refinement study with a cross-scheme energy comparison."""
-    chash = config_hash(cfg)
-    outdir = Path(cfg.outdir)
-    bundle = OutputBundle(outdir=outdir, config_hash=chash)
-    all_grids = sorted(set(cfg.grids) | {cfg.ref_grid})
+def _incomp_cells(cfg: ExperimentConfig) -> list[tuple]:
+    """Limit study: every grid, plus the compressible runs on the finest
+    sweep grid for the cross-scheme comparison."""
+    return ([("incomp", g) for g in _all_grids(cfg)]
+            + [("comp", cfg.grids[-1], eps) for eps in cfg.eps])
+
+
+def _incomp_tables(cfg: ExperimentConfig, results: dict, tables: Path,
+                   chash: str) -> list[Path]:
+    files: list[Path] = []
+    all_grids = _all_grids(cfg)
     g_cross = cfg.grids[-1]
-
-    jobs: dict = {}
-    for g in all_grids:
-        jobs[("incomp", g)] = (_incomp_job, cfg, g)
-    for eps in cfg.eps:
-        jobs[("comp", g_cross, eps)] = (_comp_job, cfg, g_cross, eps)
-    results, failures = _sweep(jobs, cfg.workers)
-    bundle.failures.extend(failures)
-
-    bundle.files += _write_runs(outdir, results, cfg.gamma, chash)
-
-    tables = outdir / "tables"
     if all(("incomp", g) in results for g in all_grids):
         snaps = {g: incomp_snapshot(results[("incomp", g)].states[-1])
                  for g in all_grids}
-        bundle.files.append(_error_table(
+        files.append(_error_table(
             tables / "errors_incomp.csv", snaps, cfg.grids, all_grids,
             cfg.t_final, chash))
 
@@ -305,7 +281,7 @@ def run_case_study_B(cfg: ExperimentConfig) -> OutputBundle:
             err_list.append(lp_norm(diff, 2))
             h_list.append(mesh.h)
         if energy_rows:
-            bundle.files.append(write_csv(
+            files.append(write_csv(
                 tables / "rel_energy_refine.csv", ["k", "h", "rel_energy"],
                 energy_rows, chash))
         if err_list:
@@ -315,7 +291,7 @@ def run_case_study_B(cfg: ExperimentConfig) -> OutputBundle:
                 rates = [np.nan] * len(err_list)
             rows = [(energy_rows[j][0], err_list[j], rates[j])
                     for j in range(len(err_list))]
-            bundle.files.append(write_csv(
+            files.append(write_csv(
                 tables / "eoc.csv", ["k", "error_l2", "eoc"], rows, chash))
 
     limit = results.get(("incomp", g_cross))
@@ -332,12 +308,10 @@ def run_case_study_B(cfg: ExperimentConfig) -> OutputBundle:
                                     limit.states[-1].v, eps, cfg.gamma)
             cross_rows.append((eps, e_rel))
         if cross_rows:
-            bundle.files.append(write_csv(
+            files.append(write_csv(
                 tables / "cross_scheme_rel_energy.csv", ["eps", "rel_energy"],
                 cross_rows, chash))
-
-    _write_manifest(bundle)
-    return bundle
+    return files
 
 
 def _write_manifest(bundle: OutputBundle) -> None:
@@ -346,18 +320,40 @@ def _write_manifest(bundle: OutputBundle) -> None:
                                   [(r,) for r in rel], bundle.config_hash))
 
 
-def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
-    """Dispatch on mode; a convergence study runs both case studies into
-    separate subdirectories."""
-    if cfg.mode in ("compressible", "asymptotic_study"):
-        return run_case_study_A(cfg)
-    if cfg.mode == "incompressible":
-        return run_case_study_B(cfg)
+def _write_bundle(cfg: ExperimentConfig, cells, tables_fn, results: dict,
+                  failures: dict) -> OutputBundle:
+    """Write one study's runs, tables and manifest from the shared sweep."""
+    chash = config_hash(cfg)
+    outdir = Path(cfg.outdir)
+    cells = dict.fromkeys(cells)
+    own = {key: results[key] for key in cells if key in results}
+    bundle = OutputBundle(outdir=outdir, config_hash=chash, failures=[
+        failures[key] for key in cells if key in failures])
+    bundle.files += _write_runs(outdir, own, cfg.gamma, chash)
+    bundle.files += tables_fn(cfg, own, outdir / "tables", chash)
+    _write_manifest(bundle)
+    return bundle
 
-    base = Path(cfg.outdir)
-    a = run_case_study_A(replace(cfg, outdir=str(base / "comp")))
-    b = run_case_study_B(replace(cfg, outdir=str(base / "incomp")))
-    merged = OutputBundle(outdir=base, config_hash=a.config_hash)
-    merged.files = a.files + b.files
-    merged.failures = a.failures + b.failures
-    return merged
+
+def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
+    """Sweep the union of the cells of the studies the mode selects once,
+    then write each study's bundle; a convergence study writes both into
+    ``comp`` and ``incomp`` subdirectories, and a cell they share runs once
+    with its run files in both."""
+    if cfg.mode in ("compressible", "asymptotic_study"):
+        studies = [(cfg, _comp_cells(cfg), _comp_tables)]
+    elif cfg.mode == "incompressible":
+        studies = [(cfg, _incomp_cells(cfg), _incomp_tables)]
+    else:
+        base = Path(cfg.outdir)
+        studies = [(replace(cfg, outdir=str(base / "comp")),
+                    _comp_cells(cfg), _comp_tables),
+                   (replace(cfg, outdir=str(base / "incomp")),
+                    _incomp_cells(cfg), _incomp_tables)]
+    results, failures = _sweep(cfg, dict.fromkeys(
+        key for _, cells, _ in studies for key in cells))
+    bundles = [_write_bundle(*study, results, failures) for study in studies]
+    return OutputBundle(outdir=Path(cfg.outdir),
+                        config_hash=bundles[0].config_hash,
+                        files=[p for b in bundles for p in b.files],
+                        failures=[f for b in bundles for f in b.failures])

@@ -79,7 +79,7 @@ class IncompConfig:
             raise ValueError(f"cfl_fraction must lie in (0,1], got {self.cfl_fraction}")
         if self.dt_max is None:
             object.__setattr__(self, "dt_max", self.t_final / 50.0)
-        elif not self.dt_max > 0.0:
+        if not self.dt_max > 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
 

@@ -107,11 +107,17 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("scheme", [CompConfig, IncompConfig])
-@pytest.mark.parametrize("dt_max", [0.0, -1e-3])
-def test_scheme_config_rejects_nonpositive_dt_max(scheme, dt_max):
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"dt_max": 0.0}, id="0.0"),
+    pytest.param({"dt_max": -1e-3}, id="-0.001"),
+    # the default dt_max = t_final / 50 is checked too
+    pytest.param({"t_final": 0.0}, id="t_final=0.0"),
+    pytest.param({"t_final": -1.0}, id="t_final=-1.0"),
+])
+def test_scheme_config_rejects_nonpositive_dt_max(scheme, kwargs):
     # a zero cap would march with dt = 0 forever
     with pytest.raises(ValueError, match="dt_max"):
-        scheme(dt_max=dt_max)
+        scheme(**kwargs)
 
 
 def test_config_default_dt_max():

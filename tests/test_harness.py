@@ -1,7 +1,8 @@
-"""Sweep orchestration and CLI: file layout, manifest completeness,
-determinism across reruns and worker counts, failure isolation, and exit
-codes."""
+"""Sweep orchestration and CLI: file layout, manifest completeness, one run
+per sweep cell, determinism across reruns and worker counts, failure
+isolation, and exit codes."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import apeuler.cli as cli
 import apeuler.harness as harness
 from apeuler.config import parse_config_text
-from apeuler.harness import OutputBundle, run_case_study_A, run_case_study_B, run_experiment
+from apeuler.harness import OutputBundle, run_experiment
 
 TINY = ("grids = 4,8\nref_grid = 16\neps = 1.0,0.01\n"
         "t_final = 0.001\noutput_count = 2\n")
@@ -33,7 +34,7 @@ def _manifest_entries(outdir: Path) -> list[str]:
 
 def test_study_a_layout_and_manifest(tmp_path):
     cfg = _cfg(TINY, tmp_path / "a")
-    bundle = run_case_study_A(cfg)
+    bundle = run_experiment(cfg)
     assert bundle.ok
     out = bundle.outdir
 
@@ -62,7 +63,7 @@ def test_study_a_layout_and_manifest(tmp_path):
 
 def test_study_b_layout_and_tables(tmp_path):
     cfg = _cfg(TINY, tmp_path / "b", extra="mode = incompressible\n")
-    bundle = run_case_study_B(cfg)
+    bundle = run_experiment(cfg)
     assert bundle.ok
     out = bundle.outdir
 
@@ -99,25 +100,52 @@ def test_run_experiment_dispatch(tmp_path):
     assert "eoc.csv" in names and "div_residual.csv" in names
 
 
+def test_convergence_study_runs_each_cell_once(tmp_path, monkeypatch):
+    # both studies need the limit runs on every grid and the compressible
+    # run on the finest sweep grid; each cell still runs once
+    calls = Counter()
+    real_comp, real_incomp = harness._comp_job, harness._incomp_job
+
+    def comp(cfg, grid, eps):
+        calls[("comp", grid, eps)] += 1
+        return real_comp(cfg, grid, eps)
+
+    def incomp(cfg, grid):
+        calls[("incomp", grid)] += 1
+        return real_incomp(cfg, grid)
+
+    monkeypatch.setattr(harness, "_comp_job", comp)
+    monkeypatch.setattr(harness, "_incomp_job", incomp)
+    bundle = run_experiment(_cfg(SMALLEST, tmp_path / "n",
+                                 extra="mode = convergence_study\n"))
+    assert bundle.ok
+    assert calls == {("incomp", 4): 1, ("incomp", 8): 1,
+                     ("comp", 4, 1.0): 1, ("comp", 8, 1.0): 1}
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = _cfg(SMALLEST, tmp_path / "d")
-    first = run_case_study_A(cfg)
+@pytest.mark.parametrize("mode", ["compressible", "convergence_study"])
+def test_rerun_is_byte_identical(tmp_path, mode):
+    cfg = _cfg(SMALLEST, tmp_path / "d", extra=f"mode = {mode}\n")
+    first = run_experiment(cfg)
     snapshot = {p: p.read_bytes() for p in first.files}
-    second = run_case_study_A(cfg)
+    second = run_experiment(cfg)
     assert set(second.files) == set(snapshot)
     for p, payload in snapshot.items():
         assert p.read_bytes() == payload
 
 
-def test_worker_count_does_not_change_results(tmp_path):
+@pytest.mark.parametrize("mode", ["compressible", "convergence_study"])
+def test_worker_count_does_not_change_results(tmp_path, mode):
     # outdir and workers both enter the config hash, so compare everything
     # after the hash line
-    b1 = run_case_study_A(_cfg(TINY, tmp_path / "w1", extra="workers = 1\n"))
-    b3 = run_case_study_A(_cfg(TINY, tmp_path / "w3", extra="workers = 3\n"))
+    b1 = run_experiment(_cfg(TINY, tmp_path / "w1",
+                             extra=f"mode = {mode}\nworkers = 1\n"))
+    b3 = run_experiment(_cfg(TINY, tmp_path / "w3",
+                             extra=f"mode = {mode}\nworkers = 3\n"))
     assert b1.ok and b3.ok
     rel1 = {p.relative_to(b1.outdir): p for p in b1.files}
     rel3 = {p.relative_to(b3.outdir): p for p in b3.files}
@@ -132,7 +160,15 @@ def test_worker_count_does_not_change_results(tmp_path):
 # failure isolation
 # ---------------------------------------------------------------------------
 
-def test_sweep_cell_failure_is_isolated(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode, subdirs, failed_grids", [
+    pytest.param("compressible", [""], [4, 8, 16], id="compressible"),
+    # the comp bundle needs eps = 0.01 on every grid, the incomp bundle on
+    # its finest sweep grid; each bundle lists the failures of its own cells
+    pytest.param("convergence_study", ["comp", "incomp"], [4, 8, 16, 8],
+                 id="convergence_study"),
+])
+def test_sweep_cell_failure_is_isolated(tmp_path, monkeypatch, mode, subdirs,
+                                        failed_grids):
     real = harness._comp_job
 
     def flaky(cfg, grid, eps):
@@ -141,19 +177,23 @@ def test_sweep_cell_failure_is_isolated(tmp_path, monkeypatch):
         return real(cfg, grid, eps)
 
     monkeypatch.setattr(harness, "_comp_job", flaky)
-    cfg = _cfg(TINY, tmp_path / "f")
-    bundle = run_case_study_A(cfg)
+    cfg = _cfg(TINY, tmp_path / "f", extra=f"mode = {mode}\n")
+    bundle = run_experiment(cfg)
 
     assert not bundle.ok
-    assert len(bundle.failures) == 3  # one per grid at eps = 0.01
-    assert all("eps=0.01" in msg and "synthetic" in msg
-               for msg in bundle.failures)
-    out = bundle.outdir
+    assert bundle.failures == [f"comp k={g} eps=0.01: synthetic cell failure"
+                               for g in failed_grids]
+    out = bundle.outdir / subdirs[0]
     # surviving cells still wrote their outputs and tables
     assert (out / "runs" / "comp_k8_eps1" / "diagnostics.csv").exists()
     assert (out / "tables" / "errors_comp_eps1.csv").exists()
     assert not (out / "tables" / "errors_comp_eps0.01.csv").exists()
-    assert (out / "manifest.csv").exists()
+    for sub in subdirs:
+        assert (bundle.outdir / sub / "manifest.csv").exists()
+    if mode == "convergence_study":
+        cross = (bundle.outdir / "incomp" / "tables"
+                 / "cross_scheme_rel_energy.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in cross[2:]] == ["1"]
 
 
 # ---------------------------------------------------------------------------
