@@ -55,8 +55,10 @@ __all__ = [
     "init_comp",
     "stabilization",
     "eta_rule",
+    "face_dt_bound",
     "comp_dt",
     "density_picard",
+    "upwind_momentum",
     "velocity_update",
     "comp_step",
     "run_comp",
@@ -239,39 +241,52 @@ def stabilization(rho_new: CellScalar, dt: float, eta: float, eps: float,
     return CellVector(mesh, (eta * dt / eps**2) * gp)
 
 
-def comp_dt(state: CompState, grad_p_prev: CellVector, config: CompConfig) -> float:
-    """Largest admissible dt from the sufficient per-face bound at t^n.
+def face_dt_bound(mesh: Mesh, u: np.ndarray, g: np.ndarray, coef: float,
+                  rhs, config) -> float:
+    """Largest dt with the sufficient per-face energy bound of both schemes.
 
     Per face sigma = K|L the bound reads
-    dt * max(|bd K|/|K|, |bd L|/|L|) * (|{{u}}| + sqrt((eta/eps^2)|{{grad p}}|))
-    <= min(1, min(rho_K, rho_L) / (3 max(rho_K, rho_L))),
-    with all densities taken explicitly at t^n.  The result is scaled by
-    cfl_fraction and capped at dt_max.
+    dt * max(|bd K|/|K|, |bd L|/|L|) * (|{{u}}| + sqrt(coef |{{g}}|)) <= rhs,
+    where ``u`` and ``g`` are per-cell (ncells, 2) arrays averaged onto the
+    face and ``rhs > 0`` is a scalar or one value per face, (2, ny, nx).
+    The result is scaled by cfl_fraction and capped at dt_max.
     """
-    mesh = state.mesh
-    eta = eta_rule(state.rho, config.eta_margin)
     # max(|bd K|/|K|, |bd L|/|L|), the same for every face of the uniform grid
     geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
 
-    grid = (mesh.ny, mesh.nx)
-    u = state.u.values.reshape(*grid, 2)
+    grid = (mesh.ny, mesh.nx, 2)
+    u = u.reshape(grid)
     uavg = 0.5 * (u + _neighbour(u, u))
-    gp = grad_p_prev.values.reshape(*grid, 2)
-    gavg = 0.5 * (gp + _neighbour(gp, gp))
-    speed = np.hypot(uavg[..., 0], uavg[..., 1]) + np.sqrt(
-        (eta / config.eps**2) * np.hypot(gavg[..., 0], gavg[..., 1]))
+    g = g.reshape(grid)
+    gavg = 0.5 * (g + _neighbour(g, g))
+    # face averages stay far from overflow, so the plain square root is safe
+    # and several times cheaper than a scaled hypot
+    ux, uy = uavg[..., 0], uavg[..., 1]
+    gx, gy = gavg[..., 0], gavg[..., 1]
+    denom = geo * (np.sqrt(ux * ux + uy * uy)
+                   + np.sqrt(coef * np.sqrt(gx * gx + gy * gy)))
+    # 1 / max(denom / rhs) rather than min(rhs / denom): no mask for faces at
+    # rest, and a power-of-two rhs scales exactly
+    denom /= rhs
+    worst = float(denom.max())
+    if worst == 0.0:
+        return float(config.dt_max)
+    return float(min(config.cfl_fraction * (1.0 / worst), config.dt_max))
 
-    rk = state.rho.values.reshape(grid)
+
+def comp_dt(state: CompState, config: CompConfig) -> float:
+    """Largest admissible dt from ``face_dt_bound`` at t^n with
+    coef = eta/eps^2, g = grad p(rho^n) and the density-ratio right-hand side
+    min(1, min(rho_K, rho_L) / (3 max(rho_K, rho_L))), all explicit at t^n."""
+    mesh = state.mesh
+    eta = eta_rule(state.rho, config.eta_margin)
+    gp = grad_values(mesh, eos_values(state.rho.values, config.gamma))
+
+    rk = state.rho.values.reshape(mesh.ny, mesh.nx)
     rl = _neighbour(rk, rk)
     ratio = np.minimum(rk, rl) / np.maximum(rk, rl)
-    rhs = np.minimum(1.0, ratio / 3.0)
-
-    denom = geo * speed
-    active = denom > 0.0
-    if not np.any(active):
-        return float(config.dt_max)
-    bound = float((rhs[active] / denom[active]).min())
-    return float(min(config.cfl_fraction * bound, config.dt_max))
+    return face_dt_bound(mesh, state.u.values, gp, eta / config.eps**2,
+                         np.minimum(1.0, ratio / 3.0), config)
 
 
 def _spectral_inverse(mesh: Mesh, beta: float):
@@ -395,6 +410,21 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
     return CellScalar(mesh, rho_l), split, eta, report
 
 
+def upwind_momentum(m: np.ndarray, q: np.ndarray, g: np.ndarray,
+                    split: EdgeSplit, dt: float, coef: float) -> np.ndarray:
+    """Explicit upwind momentum balance of both schemes, per component:
+    m - dt * div_up(q, split) - coef * g.
+
+    ``m`` is the old momentum, ``q`` the donor-cell quantity the upwind flux
+    transports and ``g`` the pressure gradient, all (ncells, 2) arrays.
+    """
+    out = np.empty_like(m)
+    for c in range(2):
+        conv = div_upwind_values(split.mesh, q[:, c], split.wplus, split.wminus)
+        out[:, c] = m[:, c] - dt * conv - coef * g[:, c]
+    return out
+
+
 def velocity_update(rho_n: CellScalar, u_n: CellVector, rho_new: CellScalar,
                     gp: np.ndarray, split_w: EdgeSplit, dt: float,
                     eps: float) -> CellVector:
@@ -405,14 +435,10 @@ def velocity_update(rho_n: CellScalar, u_n: CellVector, rho_new: CellScalar,
     split the density solve used, so the pair satisfies the discrete
     mass/momentum balances with one common flux.
     """
-    mesh = rho_n.mesh
-    m_new = np.empty((mesh.ncells, 2))
-    for c in range(2):
-        q = rho_new.values * u_n.values[:, c]
-        conv = div_upwind_values(mesh, q, split_w.wplus, split_w.wminus)
-        m_new[:, c] = (rho_n.values * u_n.values[:, c]
-                       - dt * conv - (dt / eps**2) * gp[:, c])
-    return CellVector(mesh, m_new / rho_new.values[:, None])
+    m_new = upwind_momentum(rho_n.values[:, None] * u_n.values,
+                            rho_new.values[:, None] * u_n.values,
+                            gp, split_w, dt, dt / eps**2)
+    return CellVector(rho_n.mesh, m_new / rho_new.values[:, None])
 
 
 def comp_step(state: CompState, config: CompConfig,
@@ -421,8 +447,7 @@ def comp_step(state: CompState, config: CompConfig,
     mesh = state.mesh
     eps, gamma = config.eps, config.gamma
 
-    grad_p_n = CellVector(mesh, grad_values(mesh, eos_values(state.rho.values, gamma)))
-    dt_bound = comp_dt(state, grad_p_n, config)
+    dt_bound = comp_dt(state, config)
     dt = dt_bound if dt_cap is None else min(dt_bound, dt_cap)
 
     e_prev = total_energy(state.rho, state.u, eps, gamma)
@@ -444,7 +469,7 @@ def comp_step(state: CompState, config: CompConfig,
                           step=state.step + 1)
     diag = StepDiagnostics(
         step=new_state.step, t=new_state.t, dt=dt,
-        picard_iters=getattr(report, "sweeps", 0),
+        picard_iters=report.sweeps,
         energy=energy, entropy_pi=entropy,
         mass=float(np.dot(mesh.cell_vol, rho_new.values)),
         rho_min=float(rho_new.values.min()),

@@ -39,7 +39,7 @@ from .analysis import (
     restrict_values,
 )
 from .cases import comp_initial_data, incomp_initial_data
-from .compressible import Trajectory, init_comp, run_comp
+from .compressible import Trajectory, default_output_times, init_comp, run_comp
 from .config import ExperimentConfig, comp_config, config_hash, incomp_config
 from .fields import CellScalar, CellVector, cell_scalar
 from .incompressible import init_incomp, run_incomp
@@ -70,21 +70,19 @@ def _eps_tag(eps: float) -> str:
     return f"{eps:g}"
 
 
-def _output_times(cfg: ExperimentConfig) -> np.ndarray:
-    return np.linspace(0.0, cfg.t_final, cfg.output_count)
-
-
 def _comp_job(cfg: ExperimentConfig, grid: int, eps: float):
     mesh = Mesh(MeshSpec(nx=grid, ny=grid))
     rho0, u0 = comp_initial_data(eps)
     ic = init_comp(rho0, u0, mesh, eps=eps, gamma=cfg.gamma)
-    return run_comp(comp_config(cfg, eps), mesh, ic, _output_times(cfg))
+    return run_comp(comp_config(cfg, eps), mesh, ic,
+                    default_output_times(cfg.t_final, cfg.output_count))
 
 
 def _incomp_job(cfg: ExperimentConfig, grid: int):
     mesh = Mesh(MeshSpec(nx=grid, ny=grid))
     ic = init_incomp(incomp_initial_data(), mesh)
-    return run_incomp(incomp_config(cfg), mesh, ic, _output_times(cfg))
+    return run_incomp(incomp_config(cfg), mesh, ic,
+                      default_output_times(cfg.t_final, cfg.output_count))
 
 
 def _job_label(key: tuple) -> str:
@@ -234,9 +232,8 @@ def _comp_tables(cfg: ExperimentConfig, results: dict, tables: Path,
         if comp is None:
             continue
         mesh = comp.mesh
-        div = div_values(mesh, comp.states[-1].u.values)
-        l2 = float(np.sqrt(np.dot(mesh.cell_vol, div**2)))
-        div_rows.append((eps, l2, float(np.abs(div).max())))
+        div = CellScalar(mesh, div_values(mesh, comp.states[-1].u.values))
+        div_rows.append((eps, lp_norm(div, 2), lp_norm(div, np.inf)))
     if div_rows:
         files.append(write_csv(
             tables / "div_residual.csv", ["eps", "div_l2", "div_linf"],

@@ -27,17 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressible import Trajectory, _march
+from .compressible import Trajectory, _march, face_dt_bound, upwind_momentum
 from .fields import CellScalar, CellVector
 from .linsolve import SolveReport
 from .mesh import Mesh
 from .operators import (
     _laplace_symbol,
-    _neighbour,
-    div_upwind_values,
     div_values,
     grad_values,
     laplace_values,
+    lp_norm,
     project_vector,
     split_advective_velocity,
 )
@@ -183,39 +182,21 @@ def pressure_solve(v_n: CellVector, eta: float, dt: float,
     return CellScalar(mesh, x), SolveReport(1, residual, True, removed)
 
 
-def incomp_dt(state: IncompState, pi_n: CellScalar,
-              config: IncompConfig) -> float:
-    """Largest dt with the per-face bound
-    dt * max(|bd K|/|K|, |bd L|/|L|) * (|{{v}}| + sqrt(eta |{{grad pi}}|)) <= BETA_2D,
-    evaluated at t^n, scaled by cfl_fraction and capped at dt_max."""
+def incomp_dt(state: IncompState, config: IncompConfig) -> float:
+    """Largest admissible dt from ``face_dt_bound`` at t^n with coef = eta,
+    g = grad pi^n (the previous step's pressure) and right-hand side
+    BETA_2D."""
     mesh = state.mesh
-    # max(|bd K|/|K|, |bd L|/|L|), the same for every face of the uniform grid
-    geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
-
-    grid = (mesh.ny, mesh.nx, 2)
-    v = state.v.values.reshape(grid)
-    vavg = 0.5 * (v + _neighbour(v, v))
-    gpi = grad_values(mesh, pi_n.values).reshape(grid)
-    gavg = 0.5 * (gpi + _neighbour(gpi, gpi))
-    # face speeds are O(1), so the plain formula cannot overflow and is
-    # much cheaper than np.hypot
-    vx, vy = vavg[..., 0], vavg[..., 1]
-    gx, gy = gavg[..., 0], gavg[..., 1]
-    speed = np.sqrt(vx * vx + vy * vy) + np.sqrt(
-        config.eta * np.sqrt(gx * gx + gy * gy))
-
-    denom = geo * speed
-    if not np.any(denom > 0.0):
-        return float(config.dt_max)
-    bound = BETA_2D / float(denom.max())
-    return float(min(config.cfl_fraction * bound, config.dt_max))
+    return face_dt_bound(mesh, state.v.values,
+                         grad_values(mesh, state.pi.values), config.eta,
+                         BETA_2D, config)
 
 
 def incomp_step(state: IncompState, config: IncompConfig,
                 dt_cap: float | None = None) -> tuple[IncompState, IncompStepDiagnostics]:
     """Advance one step: pressure solve, then explicit upwind momentum update."""
     mesh = state.mesh
-    dt_bound = incomp_dt(state, state.pi, config)
+    dt_bound = incomp_dt(state, config)
     dt = dt_bound if dt_cap is None else min(dt_bound, dt_cap)
 
     ke_prev = kinetic_energy(state.v)
@@ -226,16 +207,11 @@ def incomp_step(state: IncompState, config: IncompConfig,
     dv = CellVector(mesh, (config.eta * dt) * gpi)
     split = split_advective_velocity(state.v, dv)
 
-    v_new = np.empty((mesh.ncells, 2))
-    for c in range(2):
-        conv = div_upwind_values(mesh, state.v.values[:, c],
-                                 split.wplus, split.wminus)
-        v_new[:, c] = state.v.values[:, c] - dt * conv - dt * gpi[:, c]
-    v_new = CellVector(mesh, v_new)
+    v_new = CellVector(mesh, upwind_momentum(state.v.values, state.v.values,
+                                             gpi, split, dt, dt))
 
-    constrained = state.v.values - dv.values
-    resid_cells = div_values(mesh, constrained)
-    div_residual = float(np.sqrt(np.dot(mesh.cell_vol, resid_cells**2)))
+    resid = CellScalar(mesh, div_values(mesh, state.v.values - dv.values))
+    div_residual = lp_norm(resid, 2)
 
     ke = kinetic_energy(v_new)
     energy_ok = bool(ke <= ke_prev * (1.0 + 1e-10))

@@ -63,22 +63,16 @@ def write_field_csv(path, mesh: Mesh, values: dict, config_hash: str) -> Path:
     after i,j,x,y in the given order.
     """
     names = list(values)
-    arrays = []
+    idx = np.arange(mesh.ncells)
+    columns = [idx % mesh.nx, idx // mesh.nx, mesh.cell_x[:, 0],
+               mesh.cell_x[:, 1]]
     for name in names:
         arr = np.asarray(values[name], dtype=np.float64)
         if arr.shape != (mesh.ncells,):
             raise ValueError(
                 f"field {name!r} has shape {arr.shape}, "
                 f"expected ({mesh.ncells},)")
-        arrays.append(arr)
+        columns.append(arr)
 
-    idx = np.arange(mesh.ncells)
-    i, j = idx % mesh.nx, idx // mesh.nx
-
-    def rows():
-        for k in idx:
-            yield (int(i[k]), int(j[k]),
-                   mesh.cell_x[k, 0], mesh.cell_x[k, 1],
-                   *(a[k] for a in arrays))
-
-    return write_csv(path, ["i", "j", "x", "y", *names], rows(), config_hash)
+    rows = zip(*(col.tolist() for col in columns))
+    return write_csv(path, ["i", "j", "x", "y", *names], rows, config_hash)

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apeuler import incompressible
 from apeuler.cases import incomp_initial_data
+from apeuler.compressible import CompConfig, CompState, comp_dt, eta_rule
 from apeuler.fields import CellScalar, CellVector, cell_scalar
 from apeuler.incompressible import (
     BETA_2D,
@@ -186,34 +189,56 @@ def test_incomp_dt_uniform_flow_oracle(mesh4):
     cfg = IncompConfig(t_final=1.0, dt_max=1.0)
     state = IncompState(0.0, cell_vector(mesh4, (1.0, 0.0)),
                         cell_scalar(mesh4, 0.0))
-    dt = incomp_dt(state, state.pi, cfg)
+    dt = incomp_dt(state, cfg)
     assert dt == pytest.approx(0.9 / 128.0, rel=1e-14)
 
 
-def test_incomp_dt_matches_hypot_formula(rng):
+@pytest.mark.parametrize("eps", [None, 1.0, 1e-2, 1e-4],
+                         ids=["limit", "comp-eps1", "comp-eps0.01",
+                              "comp-eps0.0001"])
+def test_incomp_dt_matches_hypot_formula(rng, eps):
+    # the per-face bound of each scheme written with np.hypot, faces as mean
+    # of K and L: the limit scheme with grad pi, eta and BETA_2D, the
+    # compressible one with grad p, eta/eps^2 and the density-ratio bound
     mesh = Mesh(MeshSpec(33, 32, ly=0.7))
-    cfg = IncompConfig(t_final=1.0, dt_max=1.0)
-    state = IncompState(0.0, CellVector(mesh, rng.standard_normal((mesh.ncells, 2))),
-                        CellScalar(mesh, rng.standard_normal(mesh.ncells)))
-    # the per-face bound written with np.hypot, faces as mean of K and L
-    v = state.v.values.reshape(mesh.ny, mesh.nx, 2)
-    g = grad_values(mesh, state.pi.values).reshape(mesh.ny, mesh.nx, 2)
-    speeds = []
-    for axis in (1, 0):
+    u = rng.standard_normal((mesh.ncells, 2))
+    if eps is None:
+        cfg = IncompConfig(t_final=1.0, dt_max=1.0)
+        state = IncompState(0.0, CellVector(mesh, u),
+                            CellScalar(mesh, rng.standard_normal(mesh.ncells)))
+        g = grad_values(mesh, state.pi.values)
+        coef, rhs = cfg.eta, (BETA_2D, BETA_2D)
+        dt = incomp_dt(state, cfg)
+    else:
+        cfg = CompConfig(eps=eps, t_final=1.0, dt_max=1.0)
+        state = CompState(0.0, CellScalar(mesh, rng.uniform(0.5, 2.0,
+                                                            mesh.ncells)),
+                          CellVector(mesh, u))
+        g = grad_values(mesh, state.rho.values ** cfg.gamma)
+        coef = eta_rule(state.rho, cfg.eta_margin) / eps**2
+        r = state.rho.values.reshape(mesh.ny, mesh.nx)
+        rhs = [np.minimum(1.0, np.minimum(r, rn) / (3.0 * np.maximum(r, rn)))
+               for rn in (np.roll(r, -1, axis=1), np.roll(r, -1, axis=0))]
+        dt = comp_dt(state, cfg)
+    v = u.reshape(mesh.ny, mesh.nx, 2)
+    g = g.reshape(mesh.ny, mesh.nx, 2)
+    geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
+    bounds = []
+    for axis, r in zip((1, 0), rhs):
         va = 0.5 * (v + np.roll(v, -1, axis=axis))
         ga = 0.5 * (g + np.roll(g, -1, axis=axis))
-        speeds.append(np.hypot(va[..., 0], va[..., 1]) + np.sqrt(
-            cfg.eta * np.hypot(ga[..., 0], ga[..., 1])))
-    geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
-    expect = cfg.cfl_fraction * BETA_2D / (geo * max(s.max() for s in speeds))
-    assert incomp_dt(state, state.pi, cfg) == pytest.approx(expect, rel=1e-14)
+        speed = np.hypot(va[..., 0], va[..., 1]) + np.sqrt(
+            coef * np.hypot(ga[..., 0], ga[..., 1]))
+        bounds.append(np.min(r / (geo * speed)))
+    expect = cfg.cfl_fraction * min(bounds)
+    assert dt == pytest.approx(expect, rel=1e-14)
 
 
 def test_incomp_dt_rest_state_returns_cap(mesh4):
     cfg = IncompConfig(t_final=1.0, dt_max=0.25)
     state = IncompState(0.0, cell_vector(mesh4, (0.0, 0.0)),
                         cell_scalar(mesh4, 0.0))
-    assert incomp_dt(state, state.pi, cfg) == 0.25
+    assert incomp_dt(state, cfg) == 0.25
 
 
 def test_incomp_step_energy_and_constraint(mesh16):
@@ -229,6 +254,31 @@ def test_incomp_step_energy_and_constraint(mesh16):
         assert _mean(state.pi) == pytest.approx(0.0, abs=1e-12)
         ke_prev = diag.kinetic_energy
     assert state.step == 5
+
+
+@given(nx=st.integers(3, 12), ny=st.integers(3, 12), ly=st.floats(0.5, 2.0),
+       solenoidal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_incomp_step_invariants_on_random_grids(nx, ny, ly, solenoidal, seed):
+    # seeded velocity, either the perpendicular central gradient of a random
+    # stream function (discretely divergence-free) or plain random; the
+    # energy inequality, the constraint and the mean-zero pressure must hold
+    # on every step of every grid shape
+    mesh = Mesh(MeshSpec(nx, ny, ly=ly))
+    rng = np.random.default_rng(seed)
+    if solenoidal:
+        g = grad_values(mesh, rng.standard_normal(mesh.ncells))
+        v = np.column_stack((-g[:, 1], g[:, 0]))
+    else:
+        v = rng.standard_normal((mesh.ncells, 2))
+    state = IncompState(0.0, CellVector(mesh, v / np.abs(v).max()),
+                        cell_scalar(mesh, 0.0))
+    cfg = IncompConfig(t_final=1.0, dt_max=1.0)
+    for _ in range(4):
+        state, diag = incomp_step(state, cfg)
+        assert diag.energy_ok
+        assert diag.div_residual <= 1e-12
+        assert _mean(state.pi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_incomp_step_honours_dt_cap(mesh16):
