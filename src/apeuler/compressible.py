@@ -277,7 +277,10 @@ def face_dt_bound(mesh: Mesh, u: np.ndarray, g: np.ndarray, coef: float,
 def comp_dt(state: CompState, config: CompConfig) -> float:
     """Largest admissible dt from ``face_dt_bound`` at t^n with
     coef = eta/eps^2, g = grad p(rho^n) and the density-ratio right-hand side
-    min(1, min(rho_K, rho_L) / (3 max(rho_K, rho_L))), all explicit at t^n."""
+    min(1, min(rho_K, rho_L) / (3 max(rho_K, rho_L))), all explicit at t^n.
+
+    The min with 1 never binds: for positive densities the ratio min/max is
+    at most 1, so the right-hand side is at most 1/3 and is passed as is."""
     mesh = state.mesh
     eta = eta_rule(state.rho, config.eta_margin)
     gp = grad_values(mesh, eos_values(state.rho.values, config.gamma))
@@ -286,7 +289,7 @@ def comp_dt(state: CompState, config: CompConfig) -> float:
     rl = _neighbour(rk, rk)
     ratio = np.minimum(rk, rl) / np.maximum(rk, rl)
     return face_dt_bound(mesh, state.u.values, gp, eta / config.eps**2,
-                         np.minimum(1.0, ratio / 3.0), config)
+                         ratio / 3.0, config)
 
 
 def _spectral_inverse(mesh: Mesh, beta: float):

@@ -219,13 +219,15 @@ def project(f: Callable, mesh: Mesh, order: int = 3) -> CellScalar:
     direction.  ``f`` must accept numpy arrays and broadcast.
     """
     xi, wq = _gauss_nodes(order)
-    cx = mesh.cell_x[:, 0][:, None, None]
-    cy = mesh.cell_x[:, 1][:, None, None]
-    px = cx + (xi[None, :, None] - 0.5) * mesh.hx
-    py = cy + (xi[None, None, :] - 0.5) * mesh.hy
-    vals = np.asarray(f(px, py), dtype=np.float64)
-    if vals.shape != (mesh.ncells, order, order):
-        vals = np.broadcast_to(vals, (mesh.ncells, order, order))
+    cx, cy = mesh.cell_x[:, 0], mesh.cell_x[:, 1]
+    # one (ncells,) evaluation per node: the same points as one broadcast
+    # (ncells, order, order) call, with an order^2 times smaller working set
+    # for the temporaries of f
+    vals = np.empty((mesh.ncells, order, order))
+    for a in range(order):
+        px = cx + (xi[a] - 0.5) * mesh.hx
+        for b in range(order):
+            vals[:, a, b] = f(px, cy + (xi[b] - 0.5) * mesh.hy)
     wgt = wq[:, None] * wq[None, :]
     return CellScalar(mesh, np.einsum("kab,ab->k", vals, wgt))
 

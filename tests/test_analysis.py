@@ -2,8 +2,15 @@
 first variances, Wasserstein distances (cross-checked against the transport
 LP), relative energies, and convergence rates."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from apeuler.analysis import (
@@ -200,9 +207,85 @@ def test_w1_matches_transport_lp(rng):
         assert w1_empirical(a, b) == pytest.approx(_w1_lp(a, b), abs=1e-10)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("m", range(1, 6))
+def test_w1_batched_matches_columnwise(n, m, rng):
+    a = rng.standard_normal((n, 3, 7)) * rng.uniform(0.1, 10.0)
+    b = rng.standard_normal((m, 3, 7)) * rng.uniform(0.1, 10.0)
+    got = w1_empirical(a, b)
+    assert got.shape == (3, 7)
+    for i in range(3):
+        for j in range(7):
+            col = w1_empirical(a[:, i, j], b[:, i, j])
+            assert got[i, j] == pytest.approx(col, rel=1e-14)
+            assert got[i, j] == pytest.approx(_w1_lp(a[:, i, j], b[:, i, j]),
+                                              abs=1e-10)
+
+
+def test_w1_one_dimensional_input_gives_float():
+    assert type(w1_empirical(np.array([0.0, 2.0]), np.array([1.0]))) is float
+
+
+def test_w1_rejects_mismatched_trailing_shapes():
+    with pytest.raises(ValueError):
+        w1_empirical(np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        w1_empirical(np.zeros((2, 3)), np.zeros(2))
+    with pytest.raises(ValueError):
+        w1_empirical(np.zeros((0, 3)), np.zeros((2, 3)))
+
+
+_finite = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.lists(_finite, min_size=1, max_size=6),
+       b=st.lists(_finite, min_size=1, max_size=6),
+       c=_finite, seed=st.integers(0, 2**32 - 1))
+def test_w1_properties(a, b, c, seed):
+    a, b = np.array(a), np.array(b)
+    w = w1_empirical(a, b)
+    assert w1_empirical(b, a) == pytest.approx(w, rel=1e-14, abs=1e-14)
+    perm = np.random.default_rng(seed).permutation(a.size)
+    assert w1_empirical(a[perm], b) == pytest.approx(w, rel=1e-14, abs=1e-14)
+    assert w1_empirical(a, a + c) == pytest.approx(abs(c), rel=1e-12,
+                                                   abs=1e-12)
+
+
+def test_runtime_imports_leave_scipy_out():
+    # scipy is a test-only dependency: importing the package and its CLI
+    # must not load it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import apeuler, apeuler.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # error suite
 # ---------------------------------------------------------------------------
+
+def test_error_suite_e4_matches_transport_lp_loop(rng):
+    # non-square grid on a non-square box: the cell volume is hx * hy with
+    # hx != hy, and E4 sums the volume-weighted W1 over cells and components
+    mesh = Mesh(MeshSpec(3, 5, lx=1.0, ly=0.6))
+    labels = ("a", "b")
+    ens = Ensemble(tuple(Snapshot(mesh, rng.standard_normal((2, 15)), labels)
+                         for _ in range(2)), 0.0)
+    ref = Ensemble(tuple(Snapshot(mesh, rng.standard_normal((2, 15)), labels)
+                         for _ in range(3)), 0.0)
+    expect = 0.0
+    for k in range(mesh.ncells):
+        for c in range(len(labels)):
+            expect += mesh.cell_vol[k] * _w1_lp(
+                [m.data[c, k] for m in ens.members],
+                [m.data[c, k] for m in ref.members])
+    assert error_suite(ens, ref).E4 == pytest.approx(expect, rel=1e-12)
+
 
 def test_error_suite_identical_is_zero(mesh2, rng):
     snaps = tuple(Snapshot(mesh2, rng.standard_normal((2, 4)), ("a", "b"))

@@ -141,6 +141,24 @@ def test_project_stability_random_trig(seed):
     assert lp_norm(project(f, mesh), 2) <= analytic + 1e-10
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_project_matches_broadcast_evaluation(order):
+    # reference: f evaluated once on the broadcast (ncells, order, order)
+    # node grid; the node-by-node evaluation must give the same bits
+    mesh = Mesh(MeshSpec(7, 5, lx=1.0, ly=0.6))
+    xi, wq = np.polynomial.legendre.leggauss(order)
+    xi, wq = 0.5 * (xi + 1.0), 0.5 * wq
+
+    def f(x, y):
+        s = np.sin(2.0 * np.pi * (x + y) + 0.3)
+        return (np.sin(2.0 * np.pi * (x - y)) + 0.01 * s) / (1.0 + 0.01 * s * s)
+
+    px = mesh.cell_x[:, 0][:, None, None] + (xi[None, :, None] - 0.5) * mesh.hx
+    py = mesh.cell_x[:, 1][:, None, None] + (xi[None, None, :] - 0.5) * mesh.hy
+    expect = np.einsum("kab,ab->k", f(px, py), wq[:, None] * wq[None, :])
+    np.testing.assert_array_equal(project(f, mesh, order).values, expect)
+
+
 def test_project_vector_componentwise(mesh4):
     v = project_vector(lambda x, y: x, lambda x, y: 0.0 * x + 2.0, mesh4)
     np.testing.assert_allclose(v.values[:, 0],
