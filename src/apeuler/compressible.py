@@ -233,12 +233,10 @@ def eta_rule(rho_n: CellScalar, eta_margin: float = 1.01) -> float:
     return eta_margin * 1.5 / rho_min
 
 
-def stabilization(rho_new: CellScalar, dt: float, eta: float, eps: float,
-                  gamma: float = 2.0) -> CellVector:
-    """Velocity correction du = (eta dt / eps^2) grad p(rho)."""
-    mesh = rho_new.mesh
-    gp = grad_values(mesh, eos_values(rho_new.values, gamma))
-    return CellVector(mesh, (eta * dt / eps**2) * gp)
+def stabilization(mesh: Mesh, rho: np.ndarray, dt: float, eta: float,
+                  eps: float, gamma: float = 2.0) -> np.ndarray:
+    """Velocity correction du = (eta dt / eps^2) grad p(rho); (ncells, 2)."""
+    return (eta * dt / eps**2) * grad_values(mesh, eos_values(rho, gamma))
 
 
 def face_dt_bound(mesh: Mesh, u: np.ndarray, g: np.ndarray, coef: float,
@@ -292,34 +290,6 @@ def comp_dt(state: CompState, config: CompConfig) -> float:
                          ratio / 3.0, config)
 
 
-def _spectral_inverse(mesh: Mesh, beta: float):
-    """Apply (I - beta * div grad)^{-1} through the real FFT.
-
-    The composed central Laplacian is translation invariant on the periodic
-    uniform grid, so the shifted operator inverts exactly in rfft2 space.
-    Used as a right preconditioner; beta >= 0 keeps it positive definite.
-    """
-    denom = 1.0 + beta * _laplace_symbol(mesh)
-
-    def apply(q: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfft2(q.reshape(mesh.ny, mesh.nx)) / denom
-        return np.fft.irfft2(spec, s=(mesh.ny, mesh.nx)).reshape(-1)
-
-    return apply
-
-
-def _stab_flux_div(mesh: Mesh, c_edge: np.ndarray):
-    """Divergence-style sum of the stabilization flux direction:
-    G[q] = (1/|K|) sum_sigma +- |sigma| c_sigma {{grad q}}_sigma . nu."""
-    lc = _scale_by_face_length(mesh, c_edge.reshape(2, mesh.ny, mesh.nx).copy())
-
-    def apply(q: np.ndarray) -> np.ndarray:
-        t = lc * edge_normal_values(mesh, grad_values(mesh, q)).reshape(lc.shape)
-        return _net_outflow(mesh, t)
-
-    return apply
-
-
 def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
                    config: CompConfig) -> tuple[CellScalar, EdgeSplit, float, SolveReport]:
     """Solve the implicit mass balance by a stabilized Picard iteration.
@@ -338,49 +308,66 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
     linear solve report.
     """
     mesh = rho_n.mesh
+    grid = (mesh.ny, mesh.nx)
     eta = eta_rule(rho_n, config.eta_margin)
     rho_l = rho_n.values.copy()
     coef = eta * dt * dt / config.eps**2
+    un = edge_normal_values(mesh, u_n.values)
+    symbol = _laplace_symbol(mesh)
 
     split = None
     report = None
     for it in range(1, config.picard_max_iter + 1):
         _check_positive(rho_l)
-        du = stabilization(CellScalar(mesh, rho_l), dt, eta, config.eps,
-                           config.gamma)
-        split = split_advective_velocity(u_n, du)
+        dn = edge_normal_values(
+            mesh, stabilization(mesh, rho_l, dt, eta, config.eps, config.gamma))
+        split = split_advective_velocity(mesh, un, dn)
         wplus, wminus = split.wplus, split.wminus
 
         # upwind coefficient of the shift flux, frozen at this iterate:
-        # the donor density attached to the active half of du per face
-        du_edge = edge_normal_values(mesh, du.values).reshape(2, mesh.ny, mesh.nx)
-        rk = rho_l.reshape(mesh.ny, mesh.nx)
+        # the donor density attached to the active half of du per face,
+        # times the face length
+        rk = rho_l.reshape(grid)
         rl = _neighbour(rk, rk)
-        c_edge = np.where(du_edge > 0.0, rl,
-                          np.where(du_edge < 0.0, rk, 0.5 * (rk + rl)))
-        stab_div = _stab_flux_div(mesh, c_edge)
+        lc = _scale_by_face_length(mesh, np.where(
+            dn > 0.0, rl, np.where(dn < 0.0, rk, 0.5 * (rk + rl))))
         pp = config.gamma * rho_l ** (config.gamma - 1.0)
 
-        def apply(x: np.ndarray, _wp=wplus, _wm=wminus, _sd=stab_div,
-                  _pp=pp) -> np.ndarray:
-            return (x + dt * div_upwind_values(mesh, x, _wp, _wm)
-                    - coef * _sd(_pp * x))
+        def shift(x: np.ndarray) -> np.ndarray:
+            """Linearized pressure-gradient shift flux, summed per cell:
+            (1/|K|) sum_sigma +- |sigma| c_sigma {{grad (p' x)}}_sigma . nu."""
+            g = edge_normal_values(mesh, grad_values(mesh, pp * x))
+            return _net_outflow(mesh, lc * g)
 
-        b = rho_n.values - coef * stab_div(pp * rho_l)
+        def apply(x: np.ndarray) -> np.ndarray:
+            return (x + dt * div_upwind_values(mesh, x, wplus, wminus)
+                    - coef * shift(x))
+
+        shift_l = coef * shift(rho_l)
+        b = rho_n.values - shift_l
 
         # solve for the correction off the current iterate: the Krylov loop
         # then only has to shrink the (small) sweep residual down to the
         # tolerance of the full system, which stays reachable in float64
         # even when the shift terms carry h^-2/eps^2 scales
         target = config.transport_tol * float(np.linalg.norm(b))
-        r0 = b - apply(rho_l)
+        r0 = b - (rho_l + dt * div_upwind_values(mesh, rho_l, wplus, wminus)
+                  - shift_l)
         r0_norm = float(np.linalg.norm(r0))
         if r0_norm <= target:
             rho_next, report = rho_l, SolveReport(0, r0_norm, True)
         else:
+            # right preconditioner (I - beta div grad)^{-1}: the composed
+            # central Laplacian is diagonal in rfft2 space, and beta >= 0
+            # keeps the shifted operator positive definite
             rho_bar = float(np.dot(mesh.cell_vol, rho_l)) / mesh.domain_vol
             beta = coef * config.gamma * rho_bar ** config.gamma
-            minv = _spectral_inverse(mesh, beta)
+            denom = 1.0 + beta * symbol
+
+            def minv(q: np.ndarray) -> np.ndarray:
+                spec = np.fft.rfft2(q.reshape(grid)) / denom
+                return np.fft.irfft2(spec, s=grid).reshape(-1)
+
             y, report = solve_transport(lambda y: apply(minv(y)), r0,
                                         tol=target / r0_norm,
                                         max_iter=config.transport_max_iter)

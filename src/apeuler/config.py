@@ -86,22 +86,25 @@ class ExperimentConfig:
             raise ConfigError(
                 f"ref_grid {self.ref_grid} must be a power-of-two multiple "
                 f"of {g0}, at least {self.grids[-1]}")
-        if not self.eps or any(e <= 0.0 for e in self.eps):
-            raise ConfigError("eps list must be nonempty and positive")
+        if not self.eps:
+            raise ConfigError("eps list must be nonempty")
         if self.mode == "asymptotic_study" and \
                 list(self.eps) != sorted(set(self.eps), reverse=True):
             raise ConfigError(
                 "eps must be strictly decreasing for an asymptotic study")
-        if not self.gamma > 1.0:
-            raise ConfigError(f"gamma must exceed 1, got {self.gamma}")
         if not self.t_final > 0.0:
             raise ConfigError(f"t_final must be positive, got {self.t_final}")
         if self.output_count < 2:
             raise ConfigError("output_count must be at least 2")
-        if self.dt_max is not None and not self.dt_max > 0.0:
-            raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        # the scheme knobs are checked by the per-run configs themselves
+        try:
+            for eps in self.eps:
+                comp_config(self, eps)
+            incomp_config(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def default_config() -> ExperimentConfig:

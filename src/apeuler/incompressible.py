@@ -34,6 +34,7 @@ from .mesh import Mesh
 from .operators import (
     _laplace_symbol,
     div_values,
+    edge_normal_values,
     grad_values,
     laplace_values,
     lp_norm,
@@ -204,13 +205,15 @@ def incomp_step(state: IncompState, config: IncompConfig,
                                     tol=config.pressure_tol)
 
     gpi = grad_values(mesh, pi_new.values)
-    dv = CellVector(mesh, (config.eta * dt) * gpi)
-    split = split_advective_velocity(state.v, dv)
+    dv = (config.eta * dt) * gpi
+    split = split_advective_velocity(mesh,
+                                     edge_normal_values(mesh, state.v.values),
+                                     edge_normal_values(mesh, dv))
 
     v_new = CellVector(mesh, upwind_momentum(state.v.values, state.v.values,
                                              gpi, split, dt, dt))
 
-    resid = CellScalar(mesh, div_values(mesh, state.v.values - dv.values))
+    resid = CellScalar(mesh, div_values(mesh, state.v.values - dv))
     div_residual = lp_norm(resid, 2)
 
     ke = kinetic_energy(v_new)

@@ -1,12 +1,9 @@
-"""Structured periodic rectangular meshes: cell geometry and the face layout.
+"""Structured periodic rectangular meshes: cell geometry.
 
 Cells are indexed row-major, K = j*nx + i for column i and row j, so a
-per-cell array views as an (ny, nx) grid.  Each cell owns the face on its +x
-side and the face on its +y side; per-face arrays are flat, length
-``nedges = 2 * ncells``, with all x-faces first and then all y-faces, face K
-of each family belonging to cell K.  Its normal points along +x (+y) from K
-to the neighbour L = j*nx + (i+1) % nx (L = ((j+1) % ny)*nx + i).  Periodic
-wrap-around faces are ordinary faces; the mesh has no boundary.
+per-cell array views as an (ny, nx) grid.  Periodic wrap-around faces are
+ordinary faces; the mesh has no boundary.  The per-face layout is stated in
+:mod:`apeuler.operators`.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ class Mesh:
 
     __slots__ = (
         "nx", "ny", "lx", "ly", "hx", "hy", "h",
-        "ncells", "nedges", "domain_vol", "cell_x", "cell_vol",
+        "ncells", "domain_vol", "cell_x", "cell_vol",
     )
 
     def __init__(self, spec: MeshSpec):
@@ -59,7 +56,6 @@ class Mesh:
         self.hx, self.hy = hx, hy
         self.h = math.hypot(hx, hy)  # sup_K diam(K), all cells congruent
         self.ncells = ncells
-        self.nedges = 2 * ncells
         self.domain_vol = self.lx * self.ly
 
         i = np.tile(np.arange(nx), ny)

@@ -2,13 +2,12 @@
 uniform periodic meshes.
 
 Per-cell arrays are viewed as ``(ny, nx)`` grids and every stencil is a
-periodic neighbour shift built from slice assignments.  Per-face arrays are
-flat, length ``nedges = 2 ncells``, x-faces first: face ``K`` of a family is
-the face on the +x (+y) side of cell ``K``, oriented from ``K`` to its +x
-(+y) neighbour ``L``, so a face array views as ``(2, ny, nx)`` indexed by
-its ``K`` cell.  Each face sum is evaluated in the fixed order
-+x, -x, +y, -y, which keeps results independent of how the faces are
-visited.
+periodic neighbour shift built from slice assignments.  Per-face arrays have
+shape ``(2, ny, nx)``, x-faces first: entry ``[a, j, i]`` is the face on the
++x (a = 0) or +y (a = 1) side of cell ``K`` in row j, column i, oriented from
+``K`` to its +x (+y) neighbour ``L`` with periodic wrap-around.  Each face
+sum is evaluated in the fixed order +x, -x, +y, -y, which keeps results
+independent of how the faces are visited.
 
 The sign-split pair carried by :class:`EdgeSplit` is the stabilized advective
 normal velocity split into nonnegative/nonpositive halves per face.  The two
@@ -20,6 +19,7 @@ upwind transport operator an M-matrix regardless of the correction's sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -72,11 +72,11 @@ def _scale_by_face_length(mesh: Mesh, f: np.ndarray) -> np.ndarray:
 def _net_outflow(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
     """(1/|K|) sum over the faces of K of the outward flux, per cell.
 
-    ``flux`` holds one value per face along the K -> L normal, so each cell
+    ``flux`` is a face array along the K -> L normals, so each cell
     adds its +x and +y faces and subtracts its -x and -y faces (the +x/+y
     faces of its -x/-y neighbours), in the order +x, -x, +y, -y.
     """
-    fx, fy = flux.reshape(2, mesh.ny, mesh.nx)
+    fx, fy = flux
     out = np.empty((mesh.ny, mesh.nx))
     np.subtract(fx[:, 1:], fx[:, :-1], out=out[:, 1:])
     np.subtract(fx[:, :1], fx[:, -1:], out=out[:, :1])
@@ -111,28 +111,27 @@ def grad_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
 
 def div_values(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     """Divergence of per-cell vectors ``w`` (ncells, 2) from face averages."""
-    s = edge_normal_values(mesh, w).reshape(2, mesh.ny, mesh.nx)
+    s = edge_normal_values(mesh, w)
     return _net_outflow(mesh, _scale_by_face_length(mesh, s))
 
 
 def div_upwind_values(mesh: Mesh, q: np.ndarray, wplus: np.ndarray,
                       wminus: np.ndarray) -> np.ndarray:
     """Upwind divergence of per-cell values ``q`` for a pre-split velocity."""
-    shape = (2, mesh.ny, mesh.nx)
     q = q.reshape(mesh.ny, mesh.nx)
     flux = _neighbour(q, q)
-    flux *= wminus.reshape(shape)
-    flux += q * wplus.reshape(shape)
+    flux *= wminus
+    flux += q * wplus
     return _net_outflow(mesh, _scale_by_face_length(mesh, flux))
 
 
 def edge_normal_values(mesh: Mesh, w: np.ndarray) -> np.ndarray:
-    """Face-averaged normal component of per-cell vectors ``w``."""
+    """Face-averaged normal component of per-cell vectors ``w``; (2, ny, nx)."""
     w = w.reshape(mesh.ny, mesh.nx, 2)
     out = _neighbour(w[..., 0], w[..., 1])
     out += w.transpose(2, 0, 1)
     out *= 0.5
-    return out.reshape(-1)
+    return out
 
 
 def laplace_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
@@ -175,25 +174,24 @@ class EdgeSplit:
     def __post_init__(self) -> None:
         self.wplus = np.asarray(self.wplus, dtype=np.float64)
         self.wminus = np.asarray(self.wminus, dtype=np.float64)
-        n = self.mesh.nedges
-        if self.wplus.shape != (n,) or self.wminus.shape != (n,):
-            raise ValueError("split parts must be per-edge arrays")
+        shape = (2, self.mesh.ny, self.mesh.nx)
+        if self.wplus.shape != shape or self.wminus.shape != shape:
+            raise ValueError(f"split parts must be per-face {shape} arrays")
         if np.any(self.wplus < 0.0):
             raise ValueError("positive split part has negative entries")
         if np.any(self.wminus > 0.0):
             raise ValueError("negative split part has positive entries")
 
 
-def split_advective_velocity(u: CellVector, du: CellVector) -> EdgeSplit:
+def split_advective_velocity(mesh: Mesh, un: np.ndarray,
+                             dn: np.ndarray) -> EdgeSplit:
     """Sign-split of the stabilized advective velocity w = u - du per face.
 
-    The two halves are (u+ - du-, u- - du+) of the face-averaged normal
-    components, so w+ >= 0 and w- <= 0 hold by construction and
-    w+ + w- equals the face value of u - du.
+    ``un`` and ``dn`` are the face-averaged normal components of u and du
+    (``edge_normal_values``).  The two halves are (u+ - du-, u- - du+), so
+    w+ >= 0 and w- <= 0 hold by construction and w+ + w- equals the face
+    value of u - du.
     """
-    mesh = u.mesh
-    un = edge_normal_values(mesh, u.values)
-    dn = edge_normal_values(mesh, du.values)
     upl = 0.5 * (un + np.abs(un))
     umi = un - upl
     dpl = 0.5 * (dn + np.abs(dn))
@@ -205,11 +203,17 @@ def split_advective_velocity(u: CellVector, du: CellVector) -> EdgeSplit:
 # projection and averaging
 # ---------------------------------------------------------------------------
 
+@cache
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [0, 1], weights summing to 1; read-only
+    arrays, computed once per order."""
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     x, w = leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w  # on [0, 1], weights summing to 1
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def project(f: Callable, mesh: Mesh, order: int = 3) -> CellScalar:

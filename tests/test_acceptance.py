@@ -160,23 +160,22 @@ def test_01_operator_identities():
         # opposite volume-weighted contributions ...
         q_field = CellScalar(mesh, rng.standard_normal(mesh.ncells))
         e = mesh.ncells // 2  # the +x face of cell e
-        wplus = np.zeros(mesh.nedges)
-        wplus[e] = rng.uniform(0.5, 2.0)
-        split = EdgeSplit(mesh, wplus, np.zeros(mesh.nedges))
+        wplus = np.zeros((2, n, n))
+        wplus[0].flat[e] = rng.uniform(0.5, 2.0)
+        split = EdgeSplit(mesh, wplus, np.zeros_like(wplus))
         d = div_upwind_values(mesh, q_field.values, split.wplus, split.wminus)
         K, L = e, (e // n) * n + (e % n + 1) % n
         if mesh.cell_vol[K] * d[K] + mesh.cell_vol[L] * d[L] != 0.0:
             failures.append(f"single-face flux not antisymmetric on {n}^2")
         # ... so the total upwind mass flux telescopes to roundoff
-        split = EdgeSplit(mesh, np.abs(rng.standard_normal(mesh.nedges)),
-                          -np.abs(rng.standard_normal(mesh.nedges)))
+        split = EdgeSplit(mesh, np.abs(rng.standard_normal((2, n, n))),
+                          -np.abs(rng.standard_normal((2, n, n))))
         total = float(np.dot(mesh.cell_vol, div_upwind_values(
             mesh, q_field.values, split.wplus, split.wminus)))
         q2 = q_field.values.reshape(n, n)
-        qk = np.concatenate((q2.ravel(), q2.ravel()))
-        ql = np.concatenate((np.roll(q2, -1, axis=1).ravel(),
-                             np.roll(q2, -1, axis=0).ravel()))
-        face_len = np.repeat((mesh.hy, mesh.hx), mesh.ncells)
+        qk = np.stack((q2, q2))
+        ql = np.stack((np.roll(q2, -1, axis=1), np.roll(q2, -1, axis=0)))
+        face_len = np.array((mesh.hy, mesh.hx))[:, None, None]
         gross = float(np.abs(face_len
                              * (split.wplus * qk + split.wminus * ql)).sum())
         if abs(total) > 1e-13 * gross:

@@ -32,6 +32,7 @@ from apeuler.incompressible import IncompConfig, init_incomp, run_incomp
 from apeuler.mesh import Mesh, MeshSpec
 from apeuler.operators import (
     div_upwind_values,
+    edge_normal_values,
     grad_values,
     lp_norm,
     split_advective_velocity,
@@ -156,8 +157,8 @@ def test_stabilization_scaling(mesh16):
     # du = (eta dt/eps^2) grad(rho^gamma); doubling dt doubles du
     rho = CellScalar(mesh16, 1.0 + 0.1 * np.sin(
         2.0 * np.pi * mesh16.cell_x[:, 0]))
-    a = stabilization(rho, 0.01, 1.5, 0.1).values
-    b = stabilization(rho, 0.02, 1.5, 0.1).values
+    a = stabilization(mesh16, rho.values, 0.01, 1.5, 0.1)
+    b = stabilization(mesh16, rho.values, 0.02, 1.5, 0.1)
     np.testing.assert_allclose(b, 2.0 * a, rtol=1e-14)
     assert float(np.abs(a).max()) > 0.0
     np.testing.assert_allclose(
@@ -213,8 +214,10 @@ def test_density_picard_solves_original_scheme(mesh16, eps):
 
     assert report.converged
     assert report.sweeps <= 5
-    du = stabilization(rho_new, dt, eta, eps, cfg.gamma)
-    recomputed = split_advective_velocity(state.u, du)
+    du = stabilization(mesh16, rho_new.values, dt, eta, eps, cfg.gamma)
+    recomputed = split_advective_velocity(
+        mesh16, edge_normal_values(mesh16, state.u.values),
+        edge_normal_values(mesh16, du))
     resid = (rho_new.values - state.rho.values
              + dt * div_upwind_values(mesh16, rho_new.values,
                                       recomputed.wplus, recomputed.wminus))
@@ -268,7 +271,8 @@ def test_density_picard_sweep_budget_raises(mesh16):
 def test_velocity_update_constant_state_exact(mesh4):
     rho = cell_scalar(mesh4, 1.5)
     u = cell_vector(mesh4, (0.8, -0.3))
-    split = split_advective_velocity(u, cell_vector(mesh4, (0.0, 0.0)))
+    un = edge_normal_values(mesh4, u.values)
+    split = split_advective_velocity(mesh4, un, np.zeros_like(un))
     gp = grad_values(mesh4, eos_values(rho.values, 2.0))
     u_new = velocity_update(rho, u, rho, gp, split, 0.01, 1.0)
     # zero flux sum and zero pressure gradient; only the rho*u/rho round trip
@@ -281,7 +285,8 @@ def test_velocity_update_pressure_gradient_only(mesh16):
     rho = CellScalar(mesh16, 1.0 + 0.1 * np.sin(
         2.0 * np.pi * mesh16.cell_x[:, 0]))
     u = cell_vector(mesh16, (0.0, 0.0))
-    split = split_advective_velocity(u, u)
+    un = edge_normal_values(mesh16, u.values)
+    split = split_advective_velocity(mesh16, un, un)
     dt, eps = 1e-3, 0.5
     gp = grad_values(mesh16, eos_values(rho.values, 2.0))
     u_new = velocity_update(rho, u, rho, gp, split, dt, eps)

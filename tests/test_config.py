@@ -87,6 +87,10 @@ def test_parse_layers_on_base():
     "workers = 0",
     "dt_max = 0",
     "dt_max = -0.001",
+    "eta = 0.5",
+    "cfl_fraction = 1.5",
+    "eta_margin = 0.9",
+    "picard_max_iter = 0",
 ])
 def test_validation_rejections(text):
     with pytest.raises(ConfigError):

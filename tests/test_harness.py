@@ -1,7 +1,8 @@
 """Sweep orchestration and CLI: file layout, manifest completeness, one run
 per sweep cell, determinism across reruns and worker counts, failure
-isolation, and exit codes."""
+isolation, exit codes, and the package names the benchmark tracer wraps."""
 
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -222,6 +223,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert rc == 1
 
 
+def test_cli_scheme_knob_out_of_range_is_config_error(tmp_path, capsys):
+    # eta <= 1 is rejected by the limit scheme's config: the CLI reports a
+    # config error before any sweep cell runs
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("mode = incompressible\neta = 0.5\n" + SMALLEST,
+                        encoding="utf-8")
+    rc = cli.main(["run", "--config", str(cfg_file),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "eta must exceed 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_partial_failure_exit_code(tmp_path, capsys, monkeypatch):
     def fake(cfg):
         return OutputBundle(outdir=Path(cfg.outdir), config_hash="h",
@@ -248,3 +262,21 @@ def test_cli_print_defaults_and_config(tmp_path, capsys):
     assert effective.mode == "compressible"
     assert effective.workers == 2
     assert effective.grids == (4,)
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracer
+# ---------------------------------------------------------------------------
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps apeuler functions by name; a renamed or
+    # deleted one would silently drop out of the benchmark's traced mode
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{layer}.{name}" for layer, names in tracer.TARGETS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"{tracer.PACKAGE}.{layer}"), name, None))]
+    assert tracer.TARGETS and not missing

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apeuler.mesh import Mesh, MeshSpec
+from apeuler.operators import edge_normal_values
 
 
 def test_spec_rejects_degenerate_grids():
@@ -22,7 +23,7 @@ def test_spec_rejects_degenerate_grids():
 def test_2x2_geometry_by_hand(mesh2):
     # unit square, 2x2: h_x = h_y = 1/2, 4 cells, 8 faces
     assert mesh2.ncells == 4
-    assert mesh2.nedges == 8
+    assert edge_normal_values(mesh2, np.zeros((4, 2))).shape == (2, 2, 2)
     assert mesh2.hx == 0.5 and mesh2.hy == 0.5
     assert mesh2.h == pytest.approx(math.hypot(0.5, 0.5), rel=1e-15)
     assert mesh2.domain_vol == 1.0

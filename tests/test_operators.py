@@ -64,16 +64,16 @@ def _roll_reference(mesh, w, q=None, wplus=None, wminus=None) -> dict:
 
     w2 = w.reshape(ny, nx, 2)
     wn = [0.5 * (w2[..., a] + plus(w2[..., a], a)) for a in (0, 1)]
-    out = {"edge_normal": np.concatenate([f.ravel() for f in wn]),
+    out = {"edge_normal": np.stack(wn),
            "div": outflow([face_len[a] * wn[a] for a in (0, 1)])}
     if q is not None:
         q2 = q.reshape(ny, nx)
         g = [face_len[a] * (0.5 * (plus(q2, a) - q2)) for a in (0, 1)]
         out["grad"] = np.stack([(g[a] + minus(g[a], a)) / vol
                                 for a in (0, 1)], axis=-1).reshape(-1, 2)
-        wp, wm = wplus.reshape(2, ny, nx), wminus.reshape(2, ny, nx)
         out["div_upwind"] = outflow([
-            face_len[a] * (q2 * wp[a] + plus(q2, a) * wm[a]) for a in (0, 1)])
+            face_len[a] * (q2 * wplus[a] + plus(q2, a) * wminus[a])
+            for a in (0, 1)])
     return out
 
 
@@ -233,14 +233,16 @@ def test_kernels_match_roll_reference(nx, ny, lx, ly, rng):
     mesh = Mesh(MeshSpec(nx, ny, lx, ly))
     q = rng.standard_normal(mesh.ncells)
     w = rng.standard_normal((mesh.ncells, 2))
-    wplus = np.abs(rng.standard_normal(mesh.nedges))
-    wminus = -np.abs(rng.standard_normal(mesh.nedges))
+    wplus = np.abs(rng.standard_normal((2, ny, nx)))
+    wminus = -np.abs(rng.standard_normal((2, ny, nx)))
     ref = _roll_reference(mesh, w, q, wplus, wminus)
     assert np.array_equal(grad_values(mesh, q), ref["grad"])
     assert np.array_equal(div_values(mesh, w), ref["div"])
     assert np.array_equal(div_upwind_values(mesh, q, wplus, wminus),
                           ref["div_upwind"])
-    assert np.array_equal(edge_normal_values(mesh, w), ref["edge_normal"])
+    edge_normal = edge_normal_values(mesh, w)
+    assert edge_normal.shape == ref["edge_normal"].shape == (2, ny, nx)
+    assert np.array_equal(edge_normal, ref["edge_normal"])
 
 
 def test_laplace_eigenmode():
@@ -277,21 +279,26 @@ def test_laplace_symbol_kernel_is_exact():
 # ---------------------------------------------------------------------------
 
 def test_edge_split_validation(mesh4):
-    n = mesh4.nedges
+    n = (2, mesh4.ny, mesh4.nx)
     with pytest.raises(ValueError):
         EdgeSplit(mesh4, np.full(n, -1.0), np.zeros(n))
     with pytest.raises(ValueError):
         EdgeSplit(mesh4, np.zeros(n), np.full(n, 1.0))
     with pytest.raises(ValueError):
-        EdgeSplit(mesh4, np.zeros(n - 1), np.zeros(n))
+        EdgeSplit(mesh4, np.zeros(n)[..., :-1], np.zeros(n))
+    # the flat (2 ncells,) layout is not a per-face array
+    flat = np.zeros(2 * mesh4.ncells)
+    with pytest.raises(ValueError):
+        EdgeSplit(mesh4, flat, flat)
 
 
 def test_div_upwind_constant_field_uniform_flow(mesh4):
     # constant q and a uniform x-velocity: inflow and outflow fluxes are the
     # same float, so each cell's sum cancels exactly
     q = CellScalar(mesh4, np.full(mesh4.ncells, 1.7))
-    wplus = np.concatenate((np.full(mesh4.ncells, 0.8), np.zeros(mesh4.ncells)))
-    split = EdgeSplit(mesh4, wplus, np.zeros(mesh4.nedges))
+    wplus = np.zeros((2, mesh4.ny, mesh4.nx))
+    wplus[0] = 0.8
+    split = EdgeSplit(mesh4, wplus, np.zeros_like(wplus))
     np.testing.assert_array_equal(_div_upwind(q, split), 0.0)
 
 
@@ -299,9 +306,9 @@ def test_div_upwind_single_edge_locality(mesh4, rng):
     q = _rand_scalar(mesh4, rng)
     # face K = 5 is the +x face of cell K = (i=1, j=1); L is its +x neighbour
     K, L = 5, 6
-    wplus = np.zeros(mesh4.nedges)
-    wplus[K] = 0.5
-    split = EdgeSplit(mesh4, wplus, np.zeros(mesh4.nedges))
+    wplus = np.zeros((2, mesh4.ny, mesh4.nx))
+    wplus[0].flat[K] = 0.5
+    split = EdgeSplit(mesh4, wplus, np.zeros_like(wplus))
     d = _div_upwind(q, split)
     flux = mesh4.hy * q.values[K] * 0.5  # outflow carries the K value
     assert d[K] == pytest.approx(flux / mesh4.cell_vol[K], rel=1e-15)
@@ -313,8 +320,8 @@ def test_div_upwind_single_edge_locality(mesh4, rng):
 def test_div_upwind_conserves_mass(mesh16, rng):
     for _ in range(5):
         q = _rand_scalar(mesh16, rng)
-        w = np.abs(rng.standard_normal(mesh16.nedges))
-        v = -np.abs(rng.standard_normal(mesh16.nedges))
+        w = np.abs(rng.standard_normal((2, mesh16.ny, mesh16.nx)))
+        v = -np.abs(rng.standard_normal((2, mesh16.ny, mesh16.nx)))
         split = EdgeSplit(mesh16, w, v)
         total = float(np.dot(mesh16.cell_vol, _div_upwind(q, split)))
         scale = float(np.abs(q.values).max()) * float(max(w.max(), -v.min()))
@@ -324,11 +331,11 @@ def test_div_upwind_conserves_mass(mesh16, rng):
 def test_split_advective_velocity(mesh4, rng):
     u = _rand_vector(mesh4, rng)
     du = _rand_vector(mesh4, rng)
-    split = split_advective_velocity(u, du)
-    assert np.all(split.wplus >= 0.0)
-    assert np.all(split.wminus <= 0.0)
     un = _roll_reference(mesh4, u.values)["edge_normal"]
     dn = _roll_reference(mesh4, du.values)["edge_normal"]
+    split = split_advective_velocity(mesh4, un, dn)
+    assert np.all(split.wplus >= 0.0)
+    assert np.all(split.wminus <= 0.0)
     np.testing.assert_allclose(split.wplus + split.wminus, un - dn,
                                rtol=1e-13, atol=1e-14)
     # crossed composition: the positive half carries u+ and -du-
@@ -339,8 +346,8 @@ def test_split_advective_velocity(mesh4, rng):
 
 def test_split_zero_correction_reduces_to_sign_split(mesh4, rng):
     u = _rand_vector(mesh4, rng)
-    split = split_advective_velocity(u, cell_vector(mesh4, (0.0, 0.0)))
     un = _roll_reference(mesh4, u.values)["edge_normal"]
+    split = split_advective_velocity(mesh4, un, np.zeros_like(un))
     np.testing.assert_allclose(split.wplus, np.maximum(un, 0.0), atol=1e-15)
     np.testing.assert_allclose(split.wminus, np.minimum(un, 0.0), atol=1e-15)
 
