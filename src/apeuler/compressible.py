@@ -83,7 +83,6 @@ class CompConfig:
     rho_lo: float = 1e-6
     rho_hi: float = 1e6
     transport_tol: float = 1e-12
-    transport_max_iter: int = 400
 
     def __post_init__(self) -> None:
         if not self.gamma > 1.0:
@@ -96,8 +95,8 @@ class CompConfig:
             raise ValueError(f"eta_margin must be >= 1, got {self.eta_margin}")
         if not 0.0 < self.rho_lo < self.rho_hi:
             raise ValueError("density window must satisfy 0 < rho_lo < rho_hi")
-        if self.picard_max_iter < 1 or self.transport_max_iter < 1:
-            raise ValueError("iteration limits must be at least 1")
+        if self.picard_max_iter < 1:
+            raise ValueError("picard_max_iter must be at least 1")
         if self.dt_max is None:
             object.__setattr__(self, "dt_max", self.t_final / 50.0)
         if not self.dt_max > 0.0:
@@ -369,8 +368,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
                 return np.fft.irfft2(spec, s=grid).reshape(-1)
 
             y, report = solve_transport(lambda y: apply(minv(y)), r0,
-                                        tol=target / r0_norm,
-                                        max_iter=config.transport_max_iter)
+                                        tol=target / r0_norm)
             if not report.converged:
                 raise RuntimeError(
                     f"transport solve failed in Picard sweep {it}: "

@@ -30,8 +30,7 @@ __all__ = [
     "incomp_config",
 ]
 
-MODES = ("compressible", "incompressible", "convergence_study",
-         "asymptotic_study")
+MODES = ("compressible", "incompressible", "convergence_study")
 
 
 class ConfigError(ValueError):
@@ -40,9 +39,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one sweep needs; a field named like a ``CompConfig`` or
-    ``IncompConfig`` field (``eps`` aside) takes its default from there and
-    is passed through to the per-run configs untouched."""
+    """What defines a study, plus where it is written and on how many
+    threads.  A field named like a ``CompConfig`` or ``IncompConfig`` field
+    (``eps`` aside) takes its default from there and is passed through to
+    the per-run configs untouched; how exactly the inner solves converge is
+    left to those configs' defaults."""
 
     mode: str = "compressible"
     grids: tuple[int, ...] = (32, 64, 128)
@@ -53,17 +54,10 @@ class ExperimentConfig:
     output_count: int = 10
     outdir: str = "out"
     workers: int = 1
-    # compressible scheme knobs
+    # scheme knobs shared by both schemes
     eta_margin: float = CompConfig.eta_margin
     cfl_fraction: float = CompConfig.cfl_fraction
     dt_max: float | None = CompConfig.dt_max
-    picard_tol: float = CompConfig.picard_tol
-    picard_max_iter: int = CompConfig.picard_max_iter
-    transport_tol: float = CompConfig.transport_tol
-    transport_max_iter: int = CompConfig.transport_max_iter
-    # limit scheme knobs
-    eta: float = IncompConfig.eta
-    pressure_tol: float = IncompConfig.pressure_tol
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -88,10 +82,6 @@ class ExperimentConfig:
                 f"of {g0}, at least {self.grids[-1]}")
         if not self.eps:
             raise ConfigError("eps list must be nonempty")
-        if self.mode == "asymptotic_study" and \
-                list(self.eps) != sorted(set(self.eps), reverse=True):
-            raise ConfigError(
-                "eps must be strictly decreasing for an asymptotic study")
         if not self.t_final > 0.0:
             raise ConfigError(f"t_final must be positive, got {self.t_final}")
         if self.output_count < 2:
@@ -181,8 +171,12 @@ def render_config(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Hex digest identifying the full parameter set; stamped into outputs."""
-    return hashlib.sha256(render_config(cfg).encode("utf-8")).hexdigest()[:16]
+    """Hex digest of the fields that can change a result, stamped into every
+    output file: ``outdir`` and ``workers`` are left out, so the same study
+    written elsewhere or on more threads gives byte-identical files."""
+    text = "".join(line for line in render_config(cfg).splitlines(True)
+                   if line.split(" = ", 1)[0] not in ("outdir", "workers"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _shared(cfg: ExperimentConfig, scheme: type) -> dict:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -317,11 +317,9 @@ def _write_manifest(bundle: OutputBundle) -> None:
                                   [(r,) for r in rel], bundle.config_hash))
 
 
-def _write_bundle(cfg: ExperimentConfig, cells, tables_fn, results: dict,
-                  failures: dict) -> OutputBundle:
+def _write_bundle(cfg: ExperimentConfig, chash: str, outdir: Path, cells,
+                  tables_fn, results: dict, failures: dict) -> OutputBundle:
     """Write one study's runs, tables and manifest from the shared sweep."""
-    chash = config_hash(cfg)
-    outdir = Path(cfg.outdir)
     cells = dict.fromkeys(cells)
     own = {key: results[key] for key in cells if key in results}
     bundle = OutputBundle(outdir=outdir, config_hash=chash, failures=[
@@ -336,21 +334,21 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     """Sweep the union of the cells of the studies the mode selects once,
     then write each study's bundle; a convergence study writes both into
     ``comp`` and ``incomp`` subdirectories, and a cell they share runs once
-    with its run files in both."""
-    if cfg.mode in ("compressible", "asymptotic_study"):
-        studies = [(cfg, _comp_cells(cfg), _comp_tables)]
+    with its run files in both.  Every file carries ``config_hash(cfg)``."""
+    base = Path(cfg.outdir)
+    comp = (_comp_cells(cfg), _comp_tables)
+    incomp = (_incomp_cells(cfg), _incomp_tables)
+    if cfg.mode == "compressible":
+        studies = [(base, *comp)]
     elif cfg.mode == "incompressible":
-        studies = [(cfg, _incomp_cells(cfg), _incomp_tables)]
+        studies = [(base, *incomp)]
     else:
-        base = Path(cfg.outdir)
-        studies = [(replace(cfg, outdir=str(base / "comp")),
-                    _comp_cells(cfg), _comp_tables),
-                   (replace(cfg, outdir=str(base / "incomp")),
-                    _incomp_cells(cfg), _incomp_tables)]
+        studies = [(base / "comp", *comp), (base / "incomp", *incomp)]
     results, failures = _sweep(cfg, dict.fromkeys(
         key for _, cells, _ in studies for key in cells))
-    bundles = [_write_bundle(*study, results, failures) for study in studies]
-    return OutputBundle(outdir=Path(cfg.outdir),
-                        config_hash=bundles[0].config_hash,
+    chash = config_hash(cfg)
+    bundles = [_write_bundle(cfg, chash, *study, results, failures)
+               for study in studies]
+    return OutputBundle(outdir=base, config_hash=chash,
                         files=[p for b in bundles for p in b.files],
                         failures=[f for b in bundles for f in b.failures])

@@ -33,6 +33,8 @@ from .linsolve import SolveReport
 from .mesh import Mesh
 from .operators import (
     _laplace_symbol,
+    _net_outflow,
+    _scale_by_face_length,
     div_values,
     edge_normal_values,
     grad_values,
@@ -66,21 +68,26 @@ BETA_2D = 1.0 / 8.0
 class IncompConfig:
     """Scheme parameters for one incompressible run."""
 
-    eta: float = 1.515
+    eta_margin: float = 1.01
     cfl_fraction: float = 0.9
     t_final: float = 0.02
     dt_max: float | None = None          # default: t_final / 50
-    pressure_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not self.eta > 1.0:
-            raise ValueError(f"eta must exceed 1, got {self.eta}")
+        if not self.eta_margin >= 1.0:
+            raise ValueError(f"eta_margin must be >= 1, got {self.eta_margin}")
         if not 0.0 < self.cfl_fraction <= 1.0:
             raise ValueError(f"cfl_fraction must lie in (0,1], got {self.cfl_fraction}")
         if self.dt_max is None:
             object.__setattr__(self, "dt_max", self.t_final / 50.0)
         if not self.dt_max > 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
+
+    @property
+    def eta(self) -> float:
+        """Stabilization 1.5 * eta_margin: ``compressible.eta_rule`` at
+        rho = 1, the eps -> 0 value of the compressible coefficient."""
+        return 1.5 * self.eta_margin
 
 
 @dataclass
@@ -201,20 +208,19 @@ def incomp_step(state: IncompState, config: IncompConfig,
     dt = dt_bound if dt_cap is None else min(dt_bound, dt_cap)
 
     ke_prev = kinetic_energy(state.v)
-    pi_new, report = pressure_solve(state.v, config.eta, dt,
-                                    tol=config.pressure_tol)
+    pi_new, report = pressure_solve(state.v, config.eta, dt)
 
     gpi = grad_values(mesh, pi_new.values)
-    dv = (config.eta * dt) * gpi
-    split = split_advective_velocity(mesh,
-                                     edge_normal_values(mesh, state.v.values),
-                                     edge_normal_values(mesh, dv))
+    un = edge_normal_values(mesh, state.v.values)
+    dn = edge_normal_values(mesh, (config.eta * dt) * gpi)
+    split = split_advective_velocity(mesh, un, dn)
 
     v_new = CellVector(mesh, upwind_momentum(state.v.values, state.v.values,
                                              gpi, split, dt, dt))
 
-    resid = CellScalar(mesh, div_values(mesh, state.v.values - dv))
-    div_residual = lp_norm(resid, 2)
+    # divergence of the face velocity un - dn that the upwind flux transports
+    resid = _net_outflow(mesh, _scale_by_face_length(mesh, un - dn))
+    div_residual = lp_norm(CellScalar(mesh, resid), 2)
 
     ke = kinetic_energy(v_new)
     energy_ok = bool(ke <= ke_prev * (1.0 + 1e-10))

@@ -86,9 +86,10 @@ def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
         iterations += 1
         if np.linalg.norm(s) <= target:
             x = x + alpha * p
-            if _true_residual(A, b, x) <= target:
-                break
             r = b - A(x)
+            residual = float(np.linalg.norm(r))
+            if residual <= target:
+                return x, SolveReport(iterations, residual, True)
             rho_prev = rho
             continue
         t = A(s)
@@ -102,8 +103,10 @@ def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
         rho_prev = rho
         if omega == 0.0:
             break
-        if np.linalg.norm(r) <= target and _true_residual(A, b, x) <= target:
-            break
+        if np.linalg.norm(r) <= target:
+            residual = _true_residual(A, b, x)
+            if residual <= target:
+                return x, SolveReport(iterations, residual, True)
 
     residual = _true_residual(A, b, x)
     converged = residual <= target

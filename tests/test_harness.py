@@ -3,6 +3,7 @@ per sweep cell, determinism across reruns and worker counts, failure
 isolation, exit codes, and the package names the benchmark tracer wraps."""
 
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 import apeuler.cli as cli
 import apeuler.harness as harness
-from apeuler.config import parse_config_text
+from apeuler.config import config_hash, parse_config_text
 from apeuler.harness import OutputBundle, run_experiment
 
 TINY = ("grids = 4,8\nref_grid = 16\neps = 1.0,0.01\n"
@@ -99,6 +100,13 @@ def test_run_experiment_dispatch(tmp_path):
     assert (tmp_path / "c" / "incomp" / "tables" / "errors_incomp.csv").exists()
     names = {p.name for p in bundle.files}
     assert "eoc.csv" in names and "div_residual.csv" in names
+    # both sub-bundles carry the one hash of the config that was run
+    assert bundle.config_hash == config_hash(cfg)
+    written = sorted((tmp_path / "c").rglob("*.csv"))
+    assert {p.parent.relative_to(tmp_path / "c").parts[0]
+            for p in written} == {"comp", "incomp"}
+    for p in written:
+        assert p.read_text().startswith(f"# config_hash={config_hash(cfg)}\n")
 
 
 def test_convergence_study_runs_each_cell_once(tmp_path, monkeypatch):
@@ -141,8 +149,7 @@ def test_rerun_is_byte_identical(tmp_path, mode):
 
 @pytest.mark.parametrize("mode", ["compressible", "convergence_study"])
 def test_worker_count_does_not_change_results(tmp_path, mode):
-    # outdir and workers both enter the config hash, so compare everything
-    # after the hash line
+    # neither outdir nor workers enters the config hash, so whole files match
     b1 = run_experiment(_cfg(TINY, tmp_path / "w1",
                              extra=f"mode = {mode}\nworkers = 1\n"))
     b3 = run_experiment(_cfg(TINY, tmp_path / "w3",
@@ -152,9 +159,8 @@ def test_worker_count_does_not_change_results(tmp_path, mode):
     rel3 = {p.relative_to(b3.outdir): p for p in b3.files}
     assert rel1.keys() == rel3.keys()
     for rel, p1 in rel1.items():
-        body1 = p1.read_text().split("\n", 1)[1]
-        body3 = rel3[rel].read_text().split("\n", 1)[1]
-        assert body1 == body3, f"{rel} differs between worker counts"
+        assert p1.read_bytes() == rel3[rel].read_bytes(), \
+            f"{rel} differs between worker counts"
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +215,7 @@ def test_cli_run_success(tmp_path, capsys):
     assert rc == 0
     captured = capsys.readouterr()
     assert "wrote" in captured.out
+    assert f"(config {config_hash(parse_config_text(SMALLEST))})" in captured.out
     assert (tmp_path / "out" / "manifest.csv").exists()
 
 
@@ -222,17 +229,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(cfg_file)])
     assert rc == 1
 
+    cfg_file.write_text("transport_max_iter = 10\n", encoding="utf-8")
+    rc = cli.main(["run", "--config", str(cfg_file)])
+    assert rc == 1
+    assert "unknown key" in capsys.readouterr().err
+
 
 def test_cli_scheme_knob_out_of_range_is_config_error(tmp_path, capsys):
-    # eta <= 1 is rejected by the limit scheme's config: the CLI reports a
-    # config error before any sweep cell runs
+    # cfl_fraction > 1 is rejected by the per-run configs: the CLI reports
+    # a config error before any sweep cell runs
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("mode = incompressible\neta = 0.5\n" + SMALLEST,
-                        encoding="utf-8")
+    cfg_file.write_text("mode = incompressible\ncfl_fraction = 1.5\n"
+                        + SMALLEST, encoding="utf-8")
     rc = cli.main(["run", "--config", str(cfg_file),
                    "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "eta must exceed 1" in capsys.readouterr().err
+    assert "cfl_fraction must lie in (0,1]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -280,3 +292,18 @@ def test_tracer_targets_resolve():
                if not callable(getattr(importlib.import_module(
                    f"{tracer.PACKAGE}.{layer}"), name, None))]
     assert tracer.TARGETS and not missing
+
+
+def test_bench_bundle_configs_parse(monkeypatch):
+    # perfbench/bench.py drives its study_bundle workload from config texts;
+    # a key cut from the config would otherwise only fail inside a benchmark
+    here = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(here))    # as perfbench/run.py sets it
+    spec = importlib.util.spec_from_file_location("perfbench_bench",
+                                                  here / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
+    spec.loader.exec_module(bench)
+    assert bench.BUNDLE_CONFIGS
+    for name, text in bench.BUNDLE_CONFIGS.items():
+        parse_config_text(text, source=f"BUNDLE_CONFIGS[{name!r}]")

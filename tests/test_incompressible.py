@@ -53,7 +53,7 @@ def _mean(q: CellScalar) -> float:
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IncompConfig(eta=1.0)
+        IncompConfig(eta_margin=0.99)
     with pytest.raises(ValueError):
         IncompConfig(cfl_fraction=1.5)
     assert IncompConfig(t_final=1.0).dt_max == pytest.approx(0.02)

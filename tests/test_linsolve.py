@@ -24,6 +24,23 @@ def test_transport_identity_single_iteration(rng):
     np.testing.assert_allclose(x, b, rtol=1e-12)
 
 
+def test_transport_converged_exit_applies_operator_once_more(rng):
+    # one apply for the search direction and one for the true residual of
+    # the converged iterate, which the report then carries
+    applies = []
+    op = _dense_op(np.eye(12))
+
+    def counted(x):
+        applies.append(1)
+        return op(x)
+
+    b = rng.standard_normal(12)
+    x, rep = solve_transport(counted, b, tol=1e-12)
+    assert rep.converged and rep.iterations == 1
+    assert len(applies) == 2
+    assert rep.residual == float(np.linalg.norm(b - x))
+
+
 def test_transport_zero_rhs():
     x, rep = solve_transport(_dense_op(np.eye(4)), np.zeros(4))
     assert rep.converged
