@@ -45,6 +45,7 @@ from .operators import (
 log = logging.getLogger(__name__)
 
 __all__ = [
+    "SchemeConfig",
     "CompConfig",
     "CompState",
     "StepDiagnostics",
@@ -69,15 +70,31 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CompConfig:
-    """Scheme parameters for one compressible run."""
+class SchemeConfig:
+    """Scheme parameters the compressible and limit schemes share."""
 
-    gamma: float = 2.0
-    eps: float = 1.0
     eta_margin: float = 1.01
     cfl_fraction: float = 0.9
     t_final: float = 0.02
     dt_max: float | None = None          # default: t_final / 50
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.cfl_fraction <= 1.0:
+            raise ValueError(f"cfl_fraction must lie in (0,1], got {self.cfl_fraction}")
+        if not self.eta_margin >= 1.0:
+            raise ValueError(f"eta_margin must be >= 1, got {self.eta_margin}")
+        if self.dt_max is None:
+            object.__setattr__(self, "dt_max", self.t_final / 50.0)
+        if not self.dt_max > 0.0:
+            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
+
+
+@dataclass(frozen=True)
+class CompConfig(SchemeConfig):
+    """Scheme parameters for one compressible run."""
+
+    gamma: float = 2.0
+    eps: float = 1.0
     picard_tol: float = 1e-11
     picard_max_iter: int = 50
     rho_lo: float = 1e-6
@@ -89,18 +106,11 @@ class CompConfig:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if not 0.0 < self.cfl_fraction <= 1.0:
-            raise ValueError(f"cfl_fraction must lie in (0,1], got {self.cfl_fraction}")
-        if not self.eta_margin >= 1.0:
-            raise ValueError(f"eta_margin must be >= 1, got {self.eta_margin}")
+        super().__post_init__()
         if not 0.0 < self.rho_lo < self.rho_hi:
             raise ValueError("density window must satisfy 0 < rho_lo < rho_hi")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be at least 1")
-        if self.dt_max is None:
-            object.__setattr__(self, "dt_max", self.t_final / 50.0)
-        if not self.dt_max > 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
-from .compressible import CompConfig
+from .compressible import CompConfig, SchemeConfig
 from .incompressible import IncompConfig
 
 __all__ = [
@@ -41,23 +41,23 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """What defines a study, plus where it is written and on how many
     threads.  A field named like a ``CompConfig`` or ``IncompConfig`` field
-    (``eps`` aside) takes its default from there and is passed through to
-    the per-run configs untouched; how exactly the inner solves converge is
-    left to those configs' defaults."""
+    (``eps`` aside) takes its default from there or their ``SchemeConfig``
+    base and is passed through to the per-run configs untouched; how exactly
+    the inner solves converge is left to those configs' defaults."""
 
     mode: str = "compressible"
     grids: tuple[int, ...] = (32, 64, 128)
     eps: tuple[float, ...] = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
     gamma: float = CompConfig.gamma
-    t_final: float = CompConfig.t_final
+    t_final: float = SchemeConfig.t_final
     ref_grid: int = 512
     output_count: int = 10
     outdir: str = "out"
     workers: int = 1
     # scheme knobs shared by both schemes
-    eta_margin: float = CompConfig.eta_margin
-    cfl_fraction: float = CompConfig.cfl_fraction
-    dt_max: float | None = CompConfig.dt_max
+    eta_margin: float = SchemeConfig.eta_margin
+    cfl_fraction: float = SchemeConfig.cfl_fraction
+    dt_max: float | None = SchemeConfig.dt_max
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:

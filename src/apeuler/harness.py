@@ -2,13 +2,15 @@
 derived tables, and file layout.
 
 Two bundled studies share the diagonal-shear data on the periodic unit
-square.  The compressible study sweeps the (grid, eps) product and reports
-how the runs approach the incompressible limit: density deviation from the
-constant state, the L1 gap between the compressible and limit velocities,
-refinement-sequence errors E1--E4 per eps, and the final-time velocity
-divergence on the finest grid.  The limit study sweeps grids, reporting
-E1--E4, relative energy and L2 error against the finest run (with rates),
-and the cross-scheme relative energy versus eps on its finest sweep grid.
+square: the compressible study sweeps (grid, eps) toward the incompressible
+limit, the limit study sweeps grids.  Each table is the ``(columns, rows)``
+of a pure row function of the results, keyed ``("comp", grid, eps)`` /
+``("incomp", grid)``, for explicit grids and eps lists, one row per
+finished cell; one loop writes them all.  The acceptance gate reads its
+criterion series from these functions on its own runs, so a table and the
+criterion judging it cannot drift apart; only the series no table reports
+(criterion 08's rates between consecutive levels and against the exact
+solution, 10's per-step residual) are computed there.
 
 A sweep cell is one run: (scheme, grid) for the limit scheme, (scheme,
 grid, eps) for the compressible one.  An experiment runs the union of its
@@ -49,7 +51,9 @@ from .output import write_csv, write_field_csv
 
 log = logging.getLogger(__name__)
 
-__all__ = ["OutputBundle", "run_experiment"]
+__all__ = ["OutputBundle", "run_experiment", "density_sup_rows",
+           "velocity_gap_rows", "error_rows", "div_residual_rows",
+           "rel_energy_rows", "eoc_rows", "cross_energy_rows"]
 
 
 @dataclass
@@ -164,17 +168,109 @@ def _write_runs(outdir: Path, results: dict, gamma: float,
     return files
 
 
-def _error_table(path: Path, snaps: dict, sweep_grids, all_grids, time: float,
-                 chash: str) -> Path:
-    """Cumulative refinement-sequence errors: row k compares the sequence up
-    to grid k against the full sequence ending at the reference grid."""
+def _comp_runs(results: dict, grid: int, eps_list):
+    """(eps, trajectory) of each finished compressible run on ``grid``."""
+    return [(eps, results[("comp", grid, eps)]) for eps in eps_list
+            if ("comp", grid, eps) in results]
+
+
+def density_sup_rows(results: dict, grid: int, eps_list, gamma: float):
+    """Sup over the output times of the L^gamma density deviation, per eps."""
+    return ["eps", "sup_lgamma"], [
+        (eps, density_deviation(comp, eps, gamma).sup)
+        for eps, comp in _comp_runs(results, grid, eps_list)]
+
+
+def velocity_gap_rows(results: dict, grid: int, eps_list):
+    """Final-time L1 gap between the compressible and limit velocities."""
+    limit = results.get(("incomp", grid))
+    runs = _comp_runs(results, grid, eps_list) if limit is not None else []
+    return ["eps", "l1_gap"], [
+        (eps, lp_norm(CellVector(comp.mesh, comp.states[-1].u.values
+                                 - limit.states[-1].v.values), 1))
+        for eps, comp in runs]
+
+
+def error_rows(results: dict, grids, ref_grid: int, time: float,
+               eps: float | None = None):
+    """Cumulative refinement-sequence errors of the limit runs, or of the
+    compressible runs at ``eps``: row k compares the sequence up to grid k
+    against the full one ending at ``ref_grid``; no rows unless all finished."""
+    columns = ["k", "h", "E1", "E2", "E3", "E4"]
+    all_grids = sorted(set(grids) | {ref_grid})
+    runs = [results.get(("incomp", g) if eps is None else ("comp", g, eps))
+            for g in all_grids]
+    if any(run is None for run in runs):
+        return columns, []
+    snapshot = incomp_snapshot if eps is None else comp_snapshot
+    snaps = {g: snapshot(run.states[-1]) for g, run in zip(all_grids, runs)}
     ref_ens = make_ensemble([snaps[g] for g in all_grids], time)
     rows = []
-    for j, g in enumerate(sweep_grids):
-        ens = make_ensemble([snaps[gg] for gg in sweep_grids[:j + 1]], time)
+    for j, g in enumerate(grids):
+        ens = make_ensemble([snaps[gg] for gg in grids[:j + 1]], time)
         rep = error_suite(ens, ref_ens)
         rows.append((g, snaps[g].mesh.h, rep.E1, rep.E2, rep.E3, rep.E4))
-    return write_csv(path, ["k", "h", "E1", "E2", "E3", "E4"], rows, chash)
+    return columns, rows
+
+
+def div_residual_rows(results: dict, grid: int, eps_list):
+    """L2 and max norms of the final compressible velocity divergence."""
+    rows = []
+    for eps, comp in _comp_runs(results, grid, eps_list):
+        div = CellScalar(comp.mesh,
+                         div_values(comp.mesh, comp.states[-1].u.values))
+        rows.append((eps, lp_norm(div, 2), lp_norm(div, np.inf)))
+    return ["eps", "div_l2", "div_linf"], rows
+
+
+def _refine_errors(results: dict, grids, ref_grid: int) -> list[tuple]:
+    """(k, h, relative energy, L2 error) of each finished limit run on
+    ``grids`` against the ``ref_grid`` run restricted onto its grid."""
+    ref = results.get(("incomp", ref_grid))
+    rows = []
+    for g in grids:
+        run = results.get(("incomp", g))
+        if run is None or ref is None:
+            continue
+        v, mesh = run.states[-1].v, run.mesh
+        v_ref = CellVector(mesh, np.column_stack([
+            restrict_values(ref.states[-1].v.values[:, c], ref.mesh, mesh)
+            for c in range(2)]))
+        rows.append((g, mesh.h, rel_energy_incomp(v, v_ref),
+                     lp_norm(CellVector(mesh, v.values - v_ref.values), 2)))
+    return rows
+
+
+def rel_energy_rows(results: dict, grids, ref_grid: int):
+    """Relative energy of each limit run against the ``ref_grid`` run."""
+    return ["k", "h", "rel_energy"], [
+        row[:3] for row in _refine_errors(results, grids, ref_grid)]
+
+
+def eoc_rows(results: dict, grids, ref_grid: int):
+    """L2 velocity error of each limit run against the ``ref_grid`` run, with
+    the rate from the next coarser grid (nan where undefined)."""
+    rows = _refine_errors(results, grids, ref_grid)
+    rates = [np.nan] * len(rows)
+    if len(rows) > 1 and all(row[3] > 0.0 for row in rows):
+        rates[1:] = eoc([row[3] for row in rows], [row[1] for row in rows])
+    return ["k", "error_l2", "eoc"], [
+        (row[0], row[3], rate) for row, rate in zip(rows, rates)]
+
+
+def cross_energy_rows(results: dict, grid: int, eps_list, gamma: float):
+    """Relative energy of each final compressible state against the limit
+    velocity at unit density."""
+    limit = results.get(("incomp", grid))
+    runs = _comp_runs(results, grid, eps_list) if limit is not None else []
+    rows = []
+    for eps, comp in runs:
+        state = comp.states[-1]
+        m = CellVector(state.mesh, state.rho.values[:, None] * state.u.values)
+        rows.append((eps, rel_energy_comp(
+            state.rho, m, cell_scalar(state.mesh, 1.0), limit.states[-1].v,
+            eps, gamma)))
+    return ["eps", "rel_energy"], rows
 
 
 def _all_grids(cfg: ExperimentConfig) -> list[int]:
@@ -190,55 +286,17 @@ def _comp_cells(cfg: ExperimentConfig) -> list[tuple]:
     return cells
 
 
-def _comp_tables(cfg: ExperimentConfig, results: dict, tables: Path,
-                 chash: str) -> list[Path]:
-    files: list[Path] = []
-    all_grids = _all_grids(cfg)
+def _comp_tables(cfg: ExperimentConfig, results: dict):
+    """The compressible study's tables as (file name, (columns, rows))."""
+    all_grids, eps_list = _all_grids(cfg), cfg.eps
     for g in all_grids:
-        sup_rows, gap_rows = [], []
-        for eps in cfg.eps:
-            comp = results.get(("comp", g, eps))
-            if comp is None:
-                continue
-            dev = density_deviation(comp, eps, cfg.gamma)
-            sup_rows.append((eps, dev.sup))
-            limit = results.get(("incomp", g))
-            if limit is not None:
-                diff = CellVector(comp.mesh, comp.states[-1].u.values
-                                  - limit.states[-1].v.values)
-                gap_rows.append((eps, lp_norm(diff, 1)))
-        if sup_rows:
-            files.append(write_csv(
-                tables / f"density_sup_k{g}.csv", ["eps", "sup_lgamma"],
-                sup_rows, chash))
-        if gap_rows:
-            files.append(write_csv(
-                tables / f"velocity_gap_k{g}.csv", ["eps", "l1_gap"],
-                gap_rows, chash))
-
-    for eps in cfg.eps:
-        if not all(("comp", g, eps) in results for g in all_grids):
-            log.warning("skipping error table for eps=%g: missing runs", eps)
-            continue
-        snaps = {g: comp_snapshot(results[("comp", g, eps)].states[-1])
-                 for g in all_grids}
-        files.append(_error_table(
-            tables / f"errors_comp_eps{_eps_tag(eps)}.csv", snaps,
-            cfg.grids, all_grids, cfg.t_final, chash))
-
-    div_rows = []
-    for eps in cfg.eps:
-        comp = results.get(("comp", all_grids[-1], eps))
-        if comp is None:
-            continue
-        mesh = comp.mesh
-        div = CellScalar(mesh, div_values(mesh, comp.states[-1].u.values))
-        div_rows.append((eps, lp_norm(div, 2), lp_norm(div, np.inf)))
-    if div_rows:
-        files.append(write_csv(
-            tables / "div_residual.csv", ["eps", "div_l2", "div_linf"],
-            div_rows, chash))
-    return files
+        yield (f"density_sup_k{g}.csv",
+               density_sup_rows(results, g, eps_list, cfg.gamma))
+        yield f"velocity_gap_k{g}.csv", velocity_gap_rows(results, g, eps_list)
+    for eps in eps_list:
+        yield (f"errors_comp_eps{_eps_tag(eps)}.csv",
+               error_rows(results, cfg.grids, cfg.ref_grid, cfg.t_final, eps))
+    yield "div_residual.csv", div_residual_rows(results, all_grids[-1], eps_list)
 
 
 def _incomp_cells(cfg: ExperimentConfig) -> list[tuple]:
@@ -248,85 +306,29 @@ def _incomp_cells(cfg: ExperimentConfig) -> list[tuple]:
             + [("comp", cfg.grids[-1], eps) for eps in cfg.eps])
 
 
-def _incomp_tables(cfg: ExperimentConfig, results: dict, tables: Path,
-                   chash: str) -> list[Path]:
-    files: list[Path] = []
-    all_grids = _all_grids(cfg)
-    g_cross = cfg.grids[-1]
-    if all(("incomp", g) in results for g in all_grids):
-        snaps = {g: incomp_snapshot(results[("incomp", g)].states[-1])
-                 for g in all_grids}
-        files.append(_error_table(
-            tables / "errors_incomp.csv", snaps, cfg.grids, all_grids,
-            cfg.t_final, chash))
-
-    ref = results.get(("incomp", cfg.ref_grid))
-    if ref is not None:
-        energy_rows, err_list, h_list = [], [], []
-        for g in cfg.grids:
-            run = results.get(("incomp", g))
-            if run is None:
-                continue
-            mesh = run.mesh
-            v_ref = np.column_stack([
-                restrict_values(ref.states[-1].v.values[:, c], ref.mesh, mesh)
-                for c in range(2)])
-            v_ref = CellVector(mesh, v_ref)
-            energy_rows.append((g, mesh.h,
-                                rel_energy_incomp(run.states[-1].v, v_ref)))
-            diff = CellVector(mesh, run.states[-1].v.values - v_ref.values)
-            err_list.append(lp_norm(diff, 2))
-            h_list.append(mesh.h)
-        if energy_rows:
-            files.append(write_csv(
-                tables / "rel_energy_refine.csv", ["k", "h", "rel_energy"],
-                energy_rows, chash))
-        if err_list:
-            if len(err_list) > 1 and all(e > 0.0 for e in err_list):
-                rates = [np.nan] + eoc(err_list, h_list)
-            else:
-                rates = [np.nan] * len(err_list)
-            rows = [(energy_rows[j][0], err_list[j], rates[j])
-                    for j in range(len(err_list))]
-            files.append(write_csv(
-                tables / "eoc.csv", ["k", "error_l2", "eoc"], rows, chash))
-
-    limit = results.get(("incomp", g_cross))
-    if limit is not None:
-        cross_rows = []
-        for eps in cfg.eps:
-            comp = results.get(("comp", g_cross, eps))
-            if comp is None:
-                continue
-            state = comp.states[-1]
-            mesh = state.mesh
-            m = CellVector(mesh, state.rho.values[:, None] * state.u.values)
-            e_rel = rel_energy_comp(state.rho, m, cell_scalar(mesh, 1.0),
-                                    limit.states[-1].v, eps, cfg.gamma)
-            cross_rows.append((eps, e_rel))
-        if cross_rows:
-            files.append(write_csv(
-                tables / "cross_scheme_rel_energy.csv", ["eps", "rel_energy"],
-                cross_rows, chash))
-    return files
-
-
-def _write_manifest(bundle: OutputBundle) -> None:
-    rel = sorted(str(p.relative_to(bundle.outdir)) for p in bundle.files)
-    bundle.files.append(write_csv(bundle.outdir / "manifest.csv", ["file"],
-                                  [(r,) for r in rel], bundle.config_hash))
+def _incomp_tables(cfg: ExperimentConfig, results: dict):
+    """The limit study's tables as (file name, (columns, rows))."""
+    grids, ref = cfg.grids, cfg.ref_grid
+    yield "errors_incomp.csv", error_rows(results, grids, ref, cfg.t_final)
+    yield "rel_energy_refine.csv", rel_energy_rows(results, grids, ref)
+    yield "eoc.csv", eoc_rows(results, grids, ref)
+    yield "cross_scheme_rel_energy.csv", cross_energy_rows(
+        results, grids[-1], cfg.eps, cfg.gamma)
 
 
 def _write_bundle(cfg: ExperimentConfig, chash: str, outdir: Path, cells,
                   tables_fn, results: dict, failures: dict) -> OutputBundle:
-    """Write one study's runs, tables and manifest from the shared sweep."""
+    """Write one study's runs, nonempty tables and manifest."""
     cells = dict.fromkeys(cells)
     own = {key: results[key] for key in cells if key in results}
     bundle = OutputBundle(outdir=outdir, config_hash=chash, failures=[
         failures[key] for key in cells if key in failures])
     bundle.files += _write_runs(outdir, own, cfg.gamma, chash)
-    bundle.files += tables_fn(cfg, own, outdir / "tables", chash)
-    _write_manifest(bundle)
+    bundle.files += [write_csv(outdir / "tables" / name, columns, rows, chash)
+                     for name, (columns, rows) in tables_fn(cfg, own) if rows]
+    rel = sorted(str(p.relative_to(outdir)) for p in bundle.files)
+    bundle.files.append(write_csv(outdir / "manifest.csv", ["file"],
+                                  [(r,) for r in rel], chash))
     return bundle
 
 

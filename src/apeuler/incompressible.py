@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressible import Trajectory, _march, face_dt_bound, upwind_momentum
+from .compressible import (SchemeConfig, Trajectory, _march, face_dt_bound,
+                           upwind_momentum)
 from .fields import CellScalar, CellVector
 from .linsolve import SolveReport
 from .mesh import Mesh
@@ -65,23 +66,8 @@ BETA_2D = 1.0 / 8.0
 
 
 @dataclass(frozen=True)
-class IncompConfig:
+class IncompConfig(SchemeConfig):
     """Scheme parameters for one incompressible run."""
-
-    eta_margin: float = 1.01
-    cfl_fraction: float = 0.9
-    t_final: float = 0.02
-    dt_max: float | None = None          # default: t_final / 50
-
-    def __post_init__(self) -> None:
-        if not self.eta_margin >= 1.0:
-            raise ValueError(f"eta_margin must be >= 1, got {self.eta_margin}")
-        if not 0.0 < self.cfl_fraction <= 1.0:
-            raise ValueError(f"cfl_fraction must lie in (0,1], got {self.cfl_fraction}")
-        if self.dt_max is None:
-            object.__setattr__(self, "dt_max", self.t_final / 50.0)
-        if not self.dt_max > 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
     @property
     def eta(self) -> float:

@@ -158,8 +158,10 @@ def solve_deflated_spd(A: Operator, b: np.ndarray,
     iterations = 0
 
     while iterations < max_iter:
-        if np.linalg.norm(r) <= target and _true_residual(A, b_defl, x) <= target:
-            break
+        if np.linalg.norm(r) <= target:
+            residual = _true_residual(A, b_defl, x)
+            if residual <= target:
+                return x, SolveReport(iterations, residual, True, removed)
         Ap = A(p)
         pAp = float(np.dot(p, Ap))
         if pAp <= 0.0:

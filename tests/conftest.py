@@ -1,5 +1,5 @@
 """Shared fixtures: small meshes and a seeded generator, plus a constant
-vector-field helper."""
+vector-field helper and the transport-LP oracle of W1."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,22 @@ def cell_vector(mesh: Mesh, fill=(0.0, 0.0)) -> CellVector:
     """Constant vector field."""
     return CellVector(mesh, np.tile(np.asarray(fill, dtype=np.float64),
                                     (mesh.ncells, 1)))
+
+
+def w1_lp(a, b) -> float:
+    """Optimal-transport LP between equal-weight empirical measures."""
+    from scipy.optimize import linprog   # test-only dependency
+
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n, m = a.size, b.size
+    cost = np.abs(a[:, None] - b[None, :]).ravel()
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones((1, m))),
+                      np.kron(np.ones((1, n)), np.eye(m))])
+    b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success
+    return float(res.fun)
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 from apeuler.analysis import (
     DeviationSeries,
@@ -36,26 +35,11 @@ from apeuler.compressible import CompState, Trajectory
 from apeuler.fields import CellScalar, CellVector, cell_scalar
 from apeuler.incompressible import IncompState
 from apeuler.mesh import Mesh, MeshSpec
-from conftest import cell_vector
+from conftest import cell_vector, w1_lp
 
 
 def _const_snapshot(mesh, value):
     return Snapshot(mesh, np.full((1, mesh.ncells), float(value)), ("q",))
-
-
-def _w1_lp(a, b) -> float:
-    """Optimal-transport LP between equal-weight empirical measures."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n, m = a.size, b.size
-    cost = np.abs(a[:, None] - b[None, :]).ravel()
-    rows = np.kron(np.eye(n), np.ones((1, m)))
-    cols = np.kron(np.ones((1, n)), np.eye(m))
-    a_eq = np.vstack([rows, cols])
-    b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    assert res.success
-    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +188,7 @@ def test_w1_matches_transport_lp(rng):
         n, m = rng.integers(1, 7, size=2)
         a = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
         b = rng.standard_normal(m) * rng.uniform(0.1, 10.0)
-        assert w1_empirical(a, b) == pytest.approx(_w1_lp(a, b), abs=1e-10)
+        assert w1_empirical(a, b) == pytest.approx(w1_lp(a, b), abs=1e-10)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -218,7 +202,7 @@ def test_w1_batched_matches_columnwise(n, m, rng):
         for j in range(7):
             col = w1_empirical(a[:, i, j], b[:, i, j])
             assert got[i, j] == pytest.approx(col, rel=1e-14)
-            assert got[i, j] == pytest.approx(_w1_lp(a[:, i, j], b[:, i, j]),
+            assert got[i, j] == pytest.approx(w1_lp(a[:, i, j], b[:, i, j]),
                                               abs=1e-10)
 
 
@@ -281,7 +265,7 @@ def test_error_suite_e4_matches_transport_lp_loop(rng):
     expect = 0.0
     for k in range(mesh.ncells):
         for c in range(len(labels)):
-            expect += mesh.cell_vol[k] * _w1_lp(
+            expect += mesh.cell_vol[k] * w1_lp(
                 [m.data[c, k] for m in ens.members],
                 [m.data[c, k] for m in ref.members])
     assert error_suite(ens, ref).E4 == pytest.approx(expect, rel=1e-12)

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import apeuler.cli as cli
@@ -89,6 +90,34 @@ def test_study_b_layout_and_tables(tmp_path):
     cross = (tables / "cross_scheme_rel_energy.csv").read_text().splitlines()
     vals = [float(line.split(",")[1]) for line in cross[2:]]
     assert len(vals) == 2 and vals[0] > vals[1] > 0.0
+
+
+def test_tables_are_the_row_functions_written_out(tmp_path, monkeypatch):
+    # each table file is its row function's (columns, rows) on the sweep's
+    # results; .17g round-trips float64, so equality is exact (nan == nan)
+    swept = {}
+    real = harness._sweep
+
+    def sweep(cfg, cells):
+        swept["results"], failures = real(cfg, cells)
+        return swept["results"], failures
+
+    monkeypatch.setattr(harness, "_sweep", sweep)
+    cfg = _cfg(TINY, tmp_path / "t", extra="mode = convergence_study\n")
+    bundle = run_experiment(cfg)
+    assert bundle.ok
+    for sub, tables_fn in (("comp", harness._comp_tables),
+                           ("incomp", harness._incomp_tables)):
+        tables = dict(tables_fn(cfg, swept["results"]))
+        tabledir = bundle.outdir / sub / "tables"
+        assert sorted(p.name for p in tabledir.iterdir()) == sorted(tables)
+        for name, (columns, rows) in tables.items():
+            lines = (tabledir / name).read_text().splitlines()
+            assert lines[1].split(",") == columns
+            parsed = [[float(v) for v in line.split(",")] for line in lines[2:]]
+            assert rows
+            np.testing.assert_array_equal(np.array(parsed, dtype=float),
+                                          np.array(rows, dtype=float))
 
 
 def test_run_experiment_dispatch(tmp_path):

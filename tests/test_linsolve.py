@@ -101,6 +101,23 @@ def test_deflated_cycle_oracle():
     np.testing.assert_allclose(x, [0.5, 0.0, -0.5, 0.0], atol=1e-12)
 
 
+def test_deflated_converged_exit_applies_operator_once_more(rng):
+    # one apply for the search direction and one for the true residual of
+    # the converged iterate, which the report then carries
+    applies = []
+    op = _dense_op(np.eye(12))
+
+    def counted(x):
+        applies.append(1)
+        return op(x)
+
+    b = rng.standard_normal(12)
+    x, rep = solve_deflated_spd(counted, b, np.zeros((12, 0)), tol=1e-12)
+    assert rep.converged and rep.iterations == 1
+    assert len(applies) == 2
+    assert rep.residual == float(np.linalg.norm(b - x))
+
+
 def test_deflated_kernel_rhs_returns_zero():
     b = np.full(4, 3.0)
     x, rep = solve_deflated_spd(_dense_op(CYCLE4), b, ONES4)
