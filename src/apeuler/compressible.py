@@ -30,12 +30,13 @@ from .linsolve import SolveReport, solve_transport
 from .mesh import Mesh
 from .operators import (
     EdgeSplit,
+    _face_difference,
+    _face_sum,
     _laplace_symbol,
     _neighbour,
-    _net_outflow,
-    _scale_by_face_length,
     div_upwind_values,
     edge_normal_values,
+    face_gradient_values,
     grad_values,
     project,
     project_vector,
@@ -121,6 +122,9 @@ class CompState:
     rho: CellScalar
     u: CellVector
     step: int = 0
+    # total energy under the (eps, gamma) of the step that made this state,
+    # carried into the next step's energy check; None: computed there
+    energy: float | None = None
 
     def __post_init__(self) -> None:
         if np.any(self.rho.values <= 0.0):
@@ -244,8 +248,12 @@ def eta_rule(rho_n: CellScalar, eta_margin: float = 1.01) -> float:
 
 def stabilization(mesh: Mesh, rho: np.ndarray, dt: float, eta: float,
                   eps: float, gamma: float = 2.0) -> np.ndarray:
-    """Velocity correction du = (eta dt / eps^2) grad p(rho); (ncells, 2)."""
-    return (eta * dt / eps**2) * grad_values(mesh, eos_values(rho, gamma))
+    """Face-normal velocity correction dn = du . nu per face, where
+    du = (eta dt / eps^2) grad p(rho), from the fused face-gradient stencil;
+    (2, ny, nx)."""
+    dn = face_gradient_values(mesh, eos_values(rho, gamma))
+    dn *= eta * dt / eps**2
+    return dn
 
 
 def face_dt_bound(mesh: Mesh, u: np.ndarray, g: np.ndarray, coef: float,
@@ -323,36 +331,56 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
     coef = eta * dt * dt / config.eps**2
     un = edge_normal_values(mesh, u_n.values)
     symbol = _laplace_symbol(mesh)
+    # per-family factors folded into each sweep's face coefficients:
+    # |sigma|/|K| = 1/h of the net outflow, and the fused stencil's 1/(4h)
+    h = np.array([mesh.hx, mesh.hy])[:, None, None]
+    upwind_scale = dt / h
+    shift_scale = coef / (4.0 * h * h)
 
-    split = None
     report = None
     for it in range(1, config.picard_max_iter + 1):
         _check_positive(rho_l)
-        dn = edge_normal_values(
-            mesh, stabilization(mesh, rho_l, dt, eta, config.eps, config.gamma))
-        split = split_advective_velocity(mesh, un, dn)
-        wplus, wminus = split.wplus, split.wminus
+        dn = stabilization(mesh, rho_l, dt, eta, config.eps, config.gamma)
+        # the sweep needs the split only scaled, so it is scaled in place;
+        # the unscaled split of the last sweep is rebuilt after the loop
+        scaled = split_advective_velocity(mesh, un, dn)
+        wplus, wminus = scaled.wplus, scaled.wminus
+        wplus *= upwind_scale
+        wminus *= upwind_scale
 
         # upwind coefficient of the shift flux, frozen at this iterate:
-        # the donor density attached to the active half of du per face,
-        # times the face length
+        # the donor density attached to the active half of du per face
         rk = rho_l.reshape(grid)
         rl = _neighbour(rk, rk)
-        lc = _scale_by_face_length(mesh, np.where(
-            dn > 0.0, rl, np.where(dn < 0.0, rk, 0.5 * (rk + rl))))
+        c = np.where(dn > 0.0, rl, np.where(dn < 0.0, rk, 0.5 * (rk + rl)))
+        c *= shift_scale
         pp = config.gamma * rho_l ** (config.gamma - 1.0)
 
-        def shift(x: np.ndarray) -> np.ndarray:
-            """Linearized pressure-gradient shift flux, summed per cell:
-            (1/|K|) sum_sigma +- |sigma| c_sigma {{grad (p' x)}}_sigma . nu."""
-            g = edge_normal_values(mesh, grad_values(mesh, pp * x))
-            return _net_outflow(mesh, lc * g)
+        def upwind_flux(x: np.ndarray) -> np.ndarray:
+            """dt (|sigma|/|K|) (x_K w+ + x_L w-) per face."""
+            xk = x.reshape(grid)
+            f = _neighbour(xk, xk)
+            f *= wminus
+            f += xk * wplus
+            return f
+
+        def shift_flux(x: np.ndarray) -> np.ndarray:
+            """Linearized pressure-gradient shift per face:
+            coef (|sigma|/|K|) c_sigma {{grad (p' x)}}_sigma . nu."""
+            f = _face_difference((pp * x).reshape(grid))
+            f *= c
+            return f
 
         def apply(x: np.ndarray) -> np.ndarray:
-            return (x + dt * div_upwind_values(mesh, x, wplus, wminus)
-                    - coef * shift(x))
+            """x + dt div_up(x) - coef * shift(x): one face flux and one
+            net outflow."""
+            f = upwind_flux(x)
+            f -= shift_flux(x)
+            out = _face_sum(f)
+            out += x
+            return out
 
-        shift_l = coef * shift(rho_l)
+        shift_l = _face_sum(shift_flux(rho_l))
         b = rho_n.values - shift_l
 
         # solve for the correction off the current iterate: the Krylov loop
@@ -360,8 +388,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
         # tolerance of the full system, which stays reachable in float64
         # even when the shift terms carry h^-2/eps^2 scales
         target = config.transport_tol * float(np.linalg.norm(b))
-        r0 = b - (rho_l + dt * div_upwind_values(mesh, rho_l, wplus, wminus)
-                  - shift_l)
+        r0 = b - (rho_l + _face_sum(upwind_flux(rho_l)) - shift_l)
         r0_norm = float(np.linalg.norm(r0))
         if r0_norm <= target:
             rho_next, report = rho_l, SolveReport(0, r0_norm, True)
@@ -377,13 +404,13 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
                 spec = np.fft.rfft2(q.reshape(grid)) / denom
                 return np.fft.irfft2(spec, s=grid).reshape(-1)
 
-            y, report = solve_transport(lambda y: apply(minv(y)), r0,
-                                        tol=target / r0_norm)
+            x, report = solve_transport(apply, r0, tol=target / r0_norm,
+                                        M=minv)
             if not report.converged:
                 raise RuntimeError(
                     f"transport solve failed in Picard sweep {it}: "
                     f"residual {report.residual:.3e}")
-            rho_next = rho_l + minv(y)
+            rho_next = rho_l + x
         if np.any(rho_next <= 0.0):
             raise RuntimeError(f"density lost positivity in Picard sweep {it}")
 
@@ -402,6 +429,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
         raise RuntimeError(
             f"density [{lo:.3e}, {hi:.3e}] left the admissible window "
             f"[{config.rho_lo:g}, {config.rho_hi:g}]")
+    split = split_advective_velocity(mesh, un, dn)
     report = PicardReport(iterations=report.iterations,
                           residual=report.residual,
                           converged=report.converged, sweeps=it)
@@ -448,7 +476,9 @@ def comp_step(state: CompState, config: CompConfig,
     dt_bound = comp_dt(state, config)
     dt = dt_bound if dt_cap is None else min(dt_bound, dt_cap)
 
-    e_prev = total_energy(state.rho, state.u, eps, gamma)
+    e_prev = state.energy
+    if e_prev is None:
+        e_prev = total_energy(state.rho, state.u, eps, gamma)
     rho_new, split, eta, report = density_picard(state.rho, state.u, dt, config)
     gp_new = grad_values(mesh, eos_values(rho_new.values, gamma))
     u_new = velocity_update(state.rho, state.u, rho_new, gp_new, split, dt, eps)
@@ -464,7 +494,7 @@ def comp_step(state: CompState, config: CompConfig,
                     state.step, e_prev, energy)
 
     new_state = CompState(t=state.t + dt, rho=rho_new, u=u_new,
-                          step=state.step + 1)
+                          step=state.step + 1, energy=energy)
     diag = StepDiagnostics(
         step=new_state.step, t=new_state.t, dt=dt,
         picard_iters=report.sweeps,

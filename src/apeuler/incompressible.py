@@ -84,6 +84,9 @@ class IncompState:
     v: CellVector
     pi: CellScalar
     step: int = 0
+    # kinetic energy of v, carried into the next step's energy check;
+    # None: computed there
+    ke: float | None = None
 
     @property
     def mesh(self) -> Mesh:
@@ -193,7 +196,9 @@ def incomp_step(state: IncompState, config: IncompConfig,
     dt_bound = incomp_dt(state, config)
     dt = dt_bound if dt_cap is None else min(dt_bound, dt_cap)
 
-    ke_prev = kinetic_energy(state.v)
+    ke_prev = state.ke
+    if ke_prev is None:
+        ke_prev = kinetic_energy(state.v)
     pi_new, report = pressure_solve(state.v, config.eta, dt)
 
     gpi = grad_values(mesh, pi_new.values)
@@ -218,7 +223,7 @@ def incomp_step(state: IncompState, config: IncompConfig,
     stab = (config.eta - 1.0) * dt**2 * float(np.dot(mesh.cell_vol, gpi_sq))
 
     new_state = IncompState(t=state.t + dt, v=v_new, pi=pi_new,
-                            step=state.step + 1)
+                            step=state.step + 1, ke=ke)
     diag = IncompStepDiagnostics(
         step=new_state.step, t=new_state.t, dt=dt,
         kinetic_energy=ke, div_residual=div_residual,

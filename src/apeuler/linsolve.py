@@ -2,6 +2,9 @@
 and deflated CG for singular symmetric systems.
 
 An operator is any callable that maps a flat float64 vector to its image.
+BiCGStab takes an optional right preconditioner ``M``, another such
+callable approximating the inverse of ``A``; it is applied inside the
+iteration, so the returned iterate already solves the original system.
 
 The limit scheme's pressure system is solved directly in Fourier space
 (``incompressible.pressure_solve``); deflated CG is kept as the test
@@ -49,13 +52,18 @@ def _true_residual(A, b, x) -> float:
 
 
 def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
-                    max_iter: int = 400) -> tuple[np.ndarray, SolveReport]:
-    """Unpreconditioned BiCGStab from a zero initial guess.
+                    max_iter: int = 400, M: Operator | None = None,
+                    ) -> tuple[np.ndarray, SolveReport]:
+    """BiCGStab from a zero initial guess, right-preconditioned by ``M``.
 
     Solves A x = b to ``||Ax - b||_2 <= tol * ||b||_2``, where ``A`` is a
-    callable applying the operator.  Callers precondition by composing it
-    into ``A``.  Non-convergence is flagged on the report and logged, never
-    silent.
+    callable applying the operator.  ``M`` (default: none) is a callable
+    approximating A^{-1}: each search direction p and intermediate residual
+    s enter the iterate as M p and M s, so the Krylov space is that of A M
+    while the iterate, its residual and the reported residual are those of
+    A x = b.  A is applied as often as without ``M``, and ``M`` at most
+    twice per iteration.  Non-convergence is flagged on the report and
+    logged, never silent.
     """
     b = np.asarray(b, dtype=np.float64)
     bnorm = float(np.linalg.norm(b))
@@ -77,28 +85,32 @@ def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
             break  # breakdown; report what we have
         beta = (rho / rho_prev) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        v = A(p)
+        p_hat = p if M is None else M(p)
+        v = A(p_hat)
         denom = float(np.dot(r_hat, v))
         if denom == 0.0:
             break
         alpha = rho / denom
+        # add alpha M p now, so that M p is freed before M s is built; the
+        # two updates keep the order of x + alpha M p + omega M s
+        x = x + alpha * p_hat
+        del p_hat
         s = r - alpha * v
         iterations += 1
         if np.linalg.norm(s) <= target:
-            x = x + alpha * p
             r = b - A(x)
             residual = float(np.linalg.norm(r))
             if residual <= target:
                 return x, SolveReport(iterations, residual, True)
             rho_prev = rho
             continue
-        t = A(s)
+        s_hat = s if M is None else M(s)
+        t = A(s_hat)
         tt = float(np.dot(t, t))
         if tt == 0.0:
-            x = x + alpha * p
             break
         omega = float(np.dot(t, s)) / tt
-        x = x + alpha * p + omega * s
+        x = x + omega * s_hat
         r = s - omega * t
         rho_prev = rho
         if omega == 0.0:

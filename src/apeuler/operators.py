@@ -36,6 +36,7 @@ __all__ = [
     "div_values",
     "div_upwind_values",
     "edge_normal_values",
+    "face_gradient_values",
     "laplace_values",
     "split_advective_velocity",
     "lp_norm",
@@ -69,22 +70,59 @@ def _scale_by_face_length(mesh: Mesh, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _net_outflow(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
-    """(1/|K|) sum over the faces of K of the outward flux, per cell.
+def _face_sum(flux: np.ndarray) -> np.ndarray:
+    """Sum over the faces of each cell of the outward flux, per cell.
 
     ``flux`` is a face array along the K -> L normals, so each cell
     adds its +x and +y faces and subtracts its -x and -y faces (the +x/+y
-    faces of its -x/-y neighbours), in the order +x, -x, +y, -y.
+    faces of its -x/-y neighbours), in the order +x, -x, +y, -y.  The x
+    differences run over the flattened grid, one contiguous pass whose
+    row-crossing entries (column 0) are then overwritten with the
+    periodic ones.
     """
     fx, fy = flux
-    out = np.empty((mesh.ny, mesh.nx))
-    np.subtract(fx[:, 1:], fx[:, :-1], out=out[:, 1:])
-    np.subtract(fx[:, :1], fx[:, -1:], out=out[:, :1])
-    out += fy
-    out[1:] -= fy[:-1]
-    out[:1] -= fy[-1:]
+    out = np.empty(fx.size)
+    flat = fx.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=out[1:])
+    grid = out.reshape(fx.shape)
+    np.subtract(fx[:, 0], fx[:, -1], out=grid[:, 0])
+    grid += fy
+    grid[1:] -= fy[:-1]
+    grid[:1] -= fy[-1:]
+    return out
+
+
+def _net_outflow(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
+    """(1/|K|) sum over the faces of K of the outward flux, per cell."""
+    out = _face_sum(flux)
     out /= mesh.hx * mesh.hy
-    return out.reshape(-1)
+    return out
+
+
+def _face_difference(q: np.ndarray) -> np.ndarray:
+    """(q_{i+2} + q_{i+1} - q_i - q_{i-1}) on each x-face and the same
+    along y on each y-face of a (ny, nx) grid; (2, ny, nx).
+
+    It is the sum of the central cell differences on both sides of the
+    face, so constants and checkerboards give exact zeros.  As in
+    ``_face_sum``, the x passes run over the flattened grid and the
+    columns they get wrong across row ends are then overwritten.
+    """
+    c = np.empty((2,) + q.shape)
+    cx, cy = c
+    qf, cxf = q.reshape(-1), cx.reshape(-1)
+    np.subtract(qf[2:], qf[:-2], out=cxf[1:-1])
+    np.subtract(q[:, 1], q[:, -1], out=cx[:, 0])
+    np.subtract(q[:, 0], q[:, -2], out=cx[:, -1])
+    np.subtract(q[2:], q[:-2], out=cy[1:-1])
+    np.subtract(q[1], q[-1], out=cy[0])
+    np.subtract(q[0], q[-2], out=cy[-1])
+    out = np.empty_like(c)
+    np.add(cxf[:-1], cxf[1:], out=out[0].reshape(-1)[:-1])
+    np.add(cx[:, -1], cx[:, 0], out=out[0, :, -1])
+    np.add(cy[:-1], cy[1:], out=out[1, :-1])
+    np.add(cy[-1], cy[0], out=out[1, -1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +169,19 @@ def edge_normal_values(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     out = _neighbour(w[..., 0], w[..., 1])
     out += w.transpose(2, 0, 1)
     out *= 0.5
+    return out
+
+
+def face_gradient_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
+    """Face-normal gradient of per-cell values ``q``; (2, ny, nx).
+
+    One stencil, (q_{i+2} + q_{i+1} - q_i - q_{i-1}) / (4 hx) on x-faces and
+    likewise on y-faces: the face average of the central cell gradient,
+    ``edge_normal_values(mesh, grad_values(mesh, q))`` up to roundoff.
+    """
+    out = _face_difference(q.reshape(mesh.ny, mesh.nx))
+    out[0] /= 4.0 * mesh.hx
+    out[1] /= 4.0 * mesh.hy
     return out
 
 
@@ -192,11 +243,11 @@ def split_advective_velocity(mesh: Mesh, un: np.ndarray,
     w+ >= 0 and w- <= 0 hold by construction and w+ + w- equals the face
     value of u - du.
     """
-    upl = 0.5 * (un + np.abs(un))
-    umi = un - upl
-    dpl = 0.5 * (dn + np.abs(dn))
-    dmi = dn - dpl
-    return EdgeSplit(mesh, upl - dmi, umi - dpl)
+    wplus = np.maximum(un, 0.0)
+    wplus -= np.minimum(dn, 0.0)
+    wminus = np.minimum(un, 0.0)
+    wminus -= np.maximum(dn, 0.0)
+    return EdgeSplit(mesh, wplus, wminus)
 
 
 # ---------------------------------------------------------------------------

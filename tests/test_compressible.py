@@ -2,6 +2,7 @@
 solve, explicit momentum update, and the per-step energy/entropy monotonicity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,16 +155,20 @@ def test_eta_rule_values(mesh4):
 
 
 def test_stabilization_scaling(mesh16):
-    # du = (eta dt/eps^2) grad(rho^gamma); doubling dt doubles du
+    # dn = (eta dt/eps^2) grad(rho^gamma) . nu per face; doubling dt
+    # doubles it
     rho = CellScalar(mesh16, 1.0 + 0.1 * np.sin(
         2.0 * np.pi * mesh16.cell_x[:, 0]))
     a = stabilization(mesh16, rho.values, 0.01, 1.5, 0.1)
     b = stabilization(mesh16, rho.values, 0.02, 1.5, 0.1)
+    assert a.shape == (2, 16, 16)
     np.testing.assert_allclose(b, 2.0 * a, rtol=1e-14)
-    assert float(np.abs(a).max()) > 0.0
-    np.testing.assert_allclose(
-        a, (1.5 * 0.01 / 0.01) * grad_values(mesh16, rho.values ** 2),
-        rtol=1e-14)
+    scale = float(np.abs(a).max())
+    assert scale > 0.0
+    # the fused face stencil is the face average of the cell gradient
+    composed = edge_normal_values(mesh16, grad_values(mesh16, rho.values ** 2))
+    np.testing.assert_allclose(a, (1.5 * 0.01 / 0.01) * composed,
+                               rtol=1e-14, atol=1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +219,9 @@ def test_density_picard_solves_original_scheme(mesh16, eps):
 
     assert report.converged
     assert report.sweeps <= 5
-    du = stabilization(mesh16, rho_new.values, dt, eta, eps, cfg.gamma)
+    dn = stabilization(mesh16, rho_new.values, dt, eta, eps, cfg.gamma)
     recomputed = split_advective_velocity(
-        mesh16, edge_normal_values(mesh16, state.u.values),
-        edge_normal_values(mesh16, du))
+        mesh16, edge_normal_values(mesh16, state.u.values), dn)
     resid = (rho_new.values - state.rho.values
              + dt * div_upwind_values(mesh16, rho_new.values,
                                       recomputed.wplus, recomputed.wminus))
@@ -351,6 +355,20 @@ def test_comp_step_honours_dt_cap(mesh16):
     assert diag.dt == 1e-5
     assert diag.dt_bound > 1e-5
     assert new_state.t == pytest.approx(1e-5)
+
+
+def test_comp_step_carries_its_energy(mesh16):
+    # the next step's energy check reads the carried value, which is the
+    # energy a state built without it computes, bit for bit
+    cfg = CompConfig(eps=1e-2, t_final=0.02)
+    state = _well_prepared_state(mesh16, 1e-2)
+    s1, d1 = comp_step(state, cfg)
+    assert s1.energy == d1.energy == total_energy(s1.rho, s1.u, 1e-2, cfg.gamma)
+    s2, d2 = comp_step(s1, cfg)
+    s2_fresh, d2_fresh = comp_step(replace(s1, energy=None), cfg)
+    assert d2 == d2_fresh and s2.energy == s2_fresh.energy
+    _, d_zero = comp_step(replace(s1, energy=0.0), cfg)
+    assert not d_zero.energy_ok
 
 
 def test_default_output_times():

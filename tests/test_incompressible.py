@@ -3,6 +3,7 @@ eigenmode oracle, the time-step bound, and per-step energy/constraint
 diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,6 +288,17 @@ def test_incomp_step_honours_dt_cap(mesh16):
     new_state, diag = incomp_step(state, cfg, dt_cap=1e-6)
     assert diag.dt == 1e-6
     assert new_state.t == pytest.approx(1e-6)
+
+
+def test_incomp_step_carries_its_kinetic_energy(mesh16):
+    cfg = IncompConfig(t_final=0.02)
+    s1, d1 = incomp_step(_shear_state(mesh16), cfg)
+    assert s1.ke == d1.kinetic_energy == kinetic_energy(s1.v)
+    s2, d2 = incomp_step(s1, cfg)
+    s2_fresh, d2_fresh = incomp_step(replace(s1, ke=None), cfg)
+    assert d2 == d2_fresh and s2.ke == s2_fresh.ke
+    _, d_zero = incomp_step(replace(s1, ke=0.0), cfg)
+    assert not d_zero.energy_ok
 
 
 def test_run_incomp_lands_on_output_times(mesh16):

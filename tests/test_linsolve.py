@@ -79,6 +79,58 @@ def test_transport_nonconvergence_is_flagged_not_raised(rng, caplog):
     assert any("did not converge" in r.message for r in caplog.records)
 
 
+def _preconditioned_system(rng, n=30):
+    """A dense nonsymmetric matrix and the inverse of its upper triangle
+    as an approximate inverse."""
+    m = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return m, np.linalg.inv(np.triu(m))
+
+
+def test_transport_right_preconditioner_solves_original_system(rng):
+    m, p = _preconditioned_system(rng)
+    a_calls, m_calls, composed_calls = [], [], []
+
+    def A(x):
+        a_calls.append(1)
+        return m @ x
+
+    def M(x):
+        m_calls.append(1)
+        return p @ x
+
+    def AM(y):
+        composed_calls.append(1)
+        return m @ (p @ y)
+
+    b = rng.standard_normal(m.shape[0])
+    x, rep = solve_transport(A, b, tol=1e-10, M=M)
+    assert rep.converged
+    true = float(np.linalg.norm(m @ x - b))
+    assert true <= 1e-10 * np.linalg.norm(b)
+    assert rep.residual == float(np.linalg.norm(b - m @ x))
+
+    # the same Krylov space as solving (A M) y = b and then taking M y,
+    # without the applications of M in the residual checks
+    y, rep_c = solve_transport(AM, b, tol=1e-10)
+    assert rep_c.converged
+    assert rep.iterations == rep_c.iterations > 1
+    assert len(a_calls) == len(composed_calls)
+    assert len(m_calls) <= 2 * rep.iterations
+    np.testing.assert_allclose(x, p @ y, rtol=0.0,
+                               atol=1e-12 * float(np.abs(x).max()))
+
+
+def test_transport_identity_preconditioner_keeps_bits(rng):
+    m, _ = _preconditioned_system(rng)
+    b = rng.standard_normal(m.shape[0])
+    x, rep = solve_transport(_dense_op(m), b, tol=1e-11)
+    x_id, rep_id = solve_transport(_dense_op(m), b, tol=1e-11,
+                                   M=lambda v: v.copy())
+    x_none, rep_none = solve_transport(_dense_op(m), b, tol=1e-11, M=None)
+    assert np.array_equal(x, x_id) and np.array_equal(x, x_none)
+    assert rep == rep_id == rep_none
+
+
 # ---------------------------------------------------------------------------
 # deflated CG
 # ---------------------------------------------------------------------------

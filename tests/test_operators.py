@@ -17,6 +17,7 @@ from apeuler.operators import (
     div_upwind_values,
     div_values,
     edge_normal_values,
+    face_gradient_values,
     grad_values,
     laplace_values,
     lp_norm,
@@ -243,6 +244,41 @@ def test_kernels_match_roll_reference(nx, ny, lx, ly, rng):
     edge_normal = edge_normal_values(mesh, w)
     assert edge_normal.shape == ref["edge_normal"].shape == (2, ny, nx)
     assert np.array_equal(edge_normal, ref["edge_normal"])
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [
+    (2, 2, 1.0, 1.0), (3, 5, 1.0, 1.0), (16, 16, 1.0, 1.0), (16, 16, 1.0, 0.7),
+])
+def test_face_gradient_matches_composed_stencil(nx, ny, lx, ly, rng):
+    # the fused stencil is the face average of the central cell gradient;
+    # on the 2x2 and 3x5 grids the periodic wrap makes its four cells
+    # overlap (q_{i+2} = q_i at nx = 2, q_{i+2} = q_{i-1} at nx = 3)
+    mesh = Mesh(MeshSpec(nx, ny, lx, ly))
+    for scale in (1e-3, 1.0, 1e3):
+        q = scale * rng.standard_normal(mesh.ncells)
+        got = face_gradient_values(mesh, q)
+        want = edge_normal_values(mesh, grad_values(mesh, q))
+        assert got.shape == (2, ny, nx)
+        qmax = float(np.abs(q).max())
+        for a, h in enumerate((mesh.hx, mesh.hy)):
+            assert np.abs(got[a] - want[a]).max() <= 1e-15 * qmax / h
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (16, 16)])
+def test_face_gradient_is_zero_on_constants_and_checkerboards(nx, ny):
+    mesh = Mesh(MeshSpec(nx, ny))
+    i = np.tile(np.arange(nx), ny)
+    j = np.repeat(np.arange(ny), nx)
+    fields = [np.full(mesh.ncells, 3.7)]
+    if nx % 2 == 0:
+        fields.append(np.where(i % 2 == 0, 2.5, -2.5))
+    if ny % 2 == 0:
+        fields.append(np.where(j % 2 == 0, 0.3, -0.3))
+    if nx % 2 == 0 and ny % 2 == 0:
+        fields.append(np.where((i + j) % 2 == 0, 1.1, -1.1))
+    for q in fields:
+        assert np.array_equal(face_gradient_values(mesh, q),
+                              np.zeros((2, ny, nx)))
 
 
 def test_laplace_eigenmode():
