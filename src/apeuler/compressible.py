@@ -30,6 +30,7 @@ from .linsolve import SolveReport, solve_transport
 from .mesh import Mesh
 from .operators import (
     EdgeSplit,
+    _components,
     _face_difference,
     _face_sum,
     _laplace_symbol,
@@ -269,17 +270,11 @@ def face_dt_bound(mesh: Mesh, u: np.ndarray, g: np.ndarray, coef: float,
     # max(|bd K|/|K|, |bd L|/|L|), the same for every face of the uniform grid
     geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
 
-    grid = (mesh.ny, mesh.nx, 2)
-    u = u.reshape(grid)
-    uavg = 0.5 * (u + _neighbour(u, u))
-    g = g.reshape(grid)
-    gavg = 0.5 * (g + _neighbour(g, g))
-    # face averages stay far from overflow, so the plain square root is safe
-    # and several times cheaper than a scaled hypot
-    ux, uy = uavg[..., 0], uavg[..., 1]
-    gx, gy = gavg[..., 0], gavg[..., 1]
-    denom = geo * (np.sqrt(ux * ux + uy * uy)
-                   + np.sqrt(coef * np.sqrt(gx * gx + gy * gy)))
+    denom = _face_magnitude(mesh, g)
+    denom *= coef
+    np.sqrt(denom, out=denom)
+    denom += _face_magnitude(mesh, u)
+    denom *= geo
     # 1 / max(denom / rhs) rather than min(rhs / denom): no mask for faces at
     # rest, and a power-of-two rhs scales exactly
     denom /= rhs
@@ -287,6 +282,30 @@ def face_dt_bound(mesh: Mesh, u: np.ndarray, g: np.ndarray, coef: float,
     if worst == 0.0:
         return float(config.dt_max)
     return float(min(config.cfl_fraction * (1.0 / worst), config.dt_max))
+
+
+def _face_magnitude(mesh: Mesh, w: np.ndarray) -> np.ndarray:
+    """|{{w}}| per face of per-cell vectors ``w`` (ncells, 2); (2, ny, nx).
+
+    Each component grid is averaged onto both face families at once; the
+    face averages stay far from overflow, so the plain square root is safe
+    and several times cheaper than a scaled hypot.
+    """
+    wx, wy = _components(mesh, w)
+    sq = _face_average(wx)
+    sq *= sq
+    avg = _face_average(wy)
+    avg *= avg
+    sq += avg
+    return np.sqrt(sq, out=sq)
+
+
+def _face_average(q: np.ndarray) -> np.ndarray:
+    """{{q}} on both face families of a (ny, nx) grid; (2, ny, nx)."""
+    avg = _neighbour(q, q)
+    avg += q
+    avg *= 0.5
+    return avg
 
 
 def comp_dt(state: CompState, config: CompConfig) -> float:

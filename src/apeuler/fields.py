@@ -1,8 +1,13 @@
 """Piecewise-constant cell fields.
 
-These are thin, shape-checked wrappers around flat numpy arrays; the actual
+These are thin, shape-checked wrappers around numpy arrays; the actual
 numerics live in :mod:`apeuler.operators`.  All constructors coerce to
 float64 so downstream arithmetic is reproducible.
+
+A scalar field is a flat (ncells,) array in row-major cell order.  A vector
+field keeps the public (ncells, 2) shape but is stored component-major
+(Fortran order): ``values.T`` is C-contiguous, so each component is one
+contiguous (ncells,) column that reshapes to a (ny, nx) grid for free.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ __all__ = [
 ]
 
 
-def _coerce(values, shape, kind: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _coerce(values, shape, kind: str, order=None) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64, order=order)
     if arr.shape != shape:
         raise ValueError(f"{kind} expects shape {shape}, got {arr.shape}")
     return arr
@@ -40,13 +45,15 @@ class CellScalar:
 
 @dataclass
 class CellVector:
-    """One real 2-vector per primal cell, stored as an (ncells, 2) array."""
+    """One real 2-vector per primal cell: an (ncells, 2) array stored
+    component-major."""
 
     mesh: Mesh
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = _coerce(self.values, (self.mesh.ncells, 2), "CellVector")
+        self.values = _coerce(self.values, (self.mesh.ncells, 2),
+                              "CellVector", order="F")
 
 
 def cell_scalar(mesh: Mesh, fill: float = 0.0) -> CellScalar:

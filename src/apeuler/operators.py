@@ -1,8 +1,12 @@
 """Discrete differential operators, upwind fluxes, projections and norms on
 uniform periodic meshes.
 
-Per-cell arrays are viewed as ``(ny, nx)`` grids and every stencil is a
-periodic neighbour shift built from slice assignments.  Per-face arrays have
+Per-cell scalars are viewed as ``(ny, nx)`` grids and every stencil is a
+periodic neighbour shift built from slice assignments.  Per-cell vectors
+keep the public ``(ncells, 2)`` shape of :class:`CellVector` and are stored
+component-major, so ``_components`` views them as two ``(ny, nx)`` grids
+without a copy; vector kernels work on those whole component grids and
+return ``(ncells, 2)`` results in the same layout.  Per-face arrays have
 shape ``(2, ny, nx)``, x-faces first: entry ``[a, j, i]`` is the face on the
 +x (a = 0) or +y (a = 1) side of cell ``K`` in row j, column i, oriented from
 ``K`` to its +x (+y) neighbour ``L`` with periodic wrap-around.  Each face
@@ -19,7 +23,7 @@ upwind transport operator an M-matrix regardless of the correction's sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -48,12 +52,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _neighbour(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-    """``L``-side values of the two face families, (2, ny, nx, ...).
+    """``L``-side values of the two face families, (2, ny, nx).
 
-    ``ax`` and ``ay`` are per-cell grids (ny, nx, ...); family 0 takes the
-    entry of ``ax`` at the +x neighbour of each cell, family 1 the entry of
-    ``ay`` at its +y neighbour, with periodic wrap-around.  The ``K``-side
-    values are the grids themselves, which broadcast against the result.
+    ``ax`` and ``ay`` are per-cell (ny, nx) grids; family 0 takes the entry
+    of ``ax`` at the +x neighbour of each cell, family 1 the entry of ``ay``
+    at its +y neighbour, with periodic wrap-around.  The ``K``-side values
+    are the grids themselves, which broadcast against the result.
     """
     out = np.empty((2,) + ax.shape)
     out[0, :, :-1] = ax[:, 1:]
@@ -61,6 +65,12 @@ def _neighbour(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     out[1, :-1] = ay[1:]
     out[1, -1] = ay[0]
     return out
+
+
+def _components(mesh: Mesh, w: np.ndarray) -> np.ndarray:
+    """Per-cell vectors (ncells, 2) as their two (ny, nx) component grids,
+    (2, ny, nx); a view for component-major input, a copy otherwise."""
+    return w.T.reshape(2, mesh.ny, mesh.nx)
 
 
 def _scale_by_face_length(mesh: Mesh, f: np.ndarray) -> np.ndarray:
@@ -136,15 +146,15 @@ def grad_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
     g -= q
     g *= 0.5
     gx, gy = _scale_by_face_length(mesh, g)
-    out = np.empty((mesh.ny, mesh.nx, 2))
+    out = np.empty((2, mesh.ny, mesh.nx))
     # The half-difference toward the neighbour enters with + sign on both
     # sides of a face: the (q_L - q_K) flip and the normal flip cancel.
-    np.add(gx[:, 1:], gx[:, :-1], out=out[:, 1:, 0])
-    np.add(gx[:, :1], gx[:, -1:], out=out[:, :1, 0])
-    np.add(gy[1:], gy[:-1], out=out[1:, :, 1])
-    np.add(gy[:1], gy[-1:], out=out[:1, :, 1])
+    np.add(gx[:, 1:], gx[:, :-1], out=out[0, :, 1:])
+    np.add(gx[:, :1], gx[:, -1:], out=out[0, :, :1])
+    np.add(gy[1:], gy[:-1], out=out[1, 1:])
+    np.add(gy[:1], gy[-1:], out=out[1, :1])
     out /= mesh.hx * mesh.hy
-    return out.reshape(mesh.ncells, 2)
+    return out.reshape(2, -1).T
 
 
 def div_values(mesh: Mesh, w: np.ndarray) -> np.ndarray:
@@ -165,9 +175,9 @@ def div_upwind_values(mesh: Mesh, q: np.ndarray, wplus: np.ndarray,
 
 def edge_normal_values(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     """Face-averaged normal component of per-cell vectors ``w``; (2, ny, nx)."""
-    w = w.reshape(mesh.ny, mesh.nx, 2)
-    out = _neighbour(w[..., 0], w[..., 1])
-    out += w.transpose(2, 0, 1)
+    w = _components(mesh, w)
+    out = _neighbour(w[0], w[1])
+    out += w
     out *= 0.5
     return out
 
@@ -198,16 +208,25 @@ def _laplace_symbol(mesh: Mesh) -> np.ndarray:
     -(sin^2(2 pi kx/nx)/hx^2 + sin^2(2 pi ky/ny)/hy^2).  The entries where
     the symbol vanishes (constants and the three checkerboards on even
     grids) are zeroed exactly rather than left at sin(pi)^2 roundoff, so
-    spectral solvers can recognize the kernel reliably.
+    spectral solvers can recognize the kernel reliably.  The array is
+    read-only and computed once per grid.
     """
-    sx = (np.sin(2.0 * np.pi * np.arange(mesh.nx // 2 + 1) / mesh.nx)
-          / mesh.hx) ** 2
-    sy = (np.sin(2.0 * np.pi * np.arange(mesh.ny) / mesh.ny) / mesh.hy) ** 2
-    if mesh.nx % 2 == 0:
-        sx[mesh.nx // 2] = 0.0
-    if mesh.ny % 2 == 0:
-        sy[mesh.ny // 2] = 0.0
-    return sy[:, None] + sx[None, :]
+    return _grid_symbol(mesh.nx, mesh.ny, mesh.hx, mesh.hy)
+
+
+@lru_cache(maxsize=8)
+def _grid_symbol(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
+    """``_laplace_symbol`` keyed on the grid sizes, so no mesh is kept
+    alive by the cache."""
+    sx = (np.sin(2.0 * np.pi * np.arange(nx // 2 + 1) / nx) / hx) ** 2
+    sy = (np.sin(2.0 * np.pi * np.arange(ny) / ny) / hy) ** 2
+    if nx % 2 == 0:
+        sx[nx // 2] = 0.0
+    if ny % 2 == 0:
+        sy[ny // 2] = 0.0
+    out = sy[:, None] + sx[None, :]
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +309,7 @@ def project(f: Callable, mesh: Mesh, order: int = 3) -> CellScalar:
 def project_vector(fx: Callable, fy: Callable, mesh: Mesh,
                    order: int = 3) -> CellVector:
     """Componentwise projection of a pointwise vector field."""
-    out = np.empty((mesh.ncells, 2))
+    out = np.empty((2, mesh.ncells)).T      # component-major: no copy below
     out[:, 0] = project(fx, mesh, order).values
     out[:, 1] = project(fy, mesh, order).values
     return CellVector(mesh, out)

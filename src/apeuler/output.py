@@ -43,24 +43,33 @@ def atomic_write_text(path, text: str) -> Path:
     return path
 
 
+def _write_table(path, columns, lines, config_hash: str) -> Path:
+    """Emit ``# config_hash=...``, a header, then the rendered data lines."""
+    head = [f"# config_hash={config_hash}", ",".join(columns)]
+    return atomic_write_text(path, "\n".join(head + lines) + "\n")
+
+
 def write_csv(path, columns, rows, config_hash: str) -> Path:
     """Emit ``# config_hash=...``, a header, then the data rows."""
-    lines = [f"# config_hash={config_hash}", ",".join(columns)]
-    ncols = len(tuple(columns))
+    columns = list(columns)
+    lines = []
     for row in rows:
         row = tuple(row)
-        if len(row) != ncols:
+        if len(row) != len(columns):
             raise ValueError(
-                f"row width {len(row)} does not match {ncols} columns")
+                f"row width {len(row)} does not match {len(columns)} columns")
         lines.append(",".join(format_value(v) for v in row))
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return _write_table(path, columns, lines, config_hash)
 
 
 def write_field_csv(path, mesh: Mesh, values: dict, config_hash: str) -> Path:
     """Dump cell fields with explicit grid coordinates.
 
     ``values`` maps column names to flat per-cell arrays; columns appear
-    after i,j,x,y in the given order.
+    after i,j,x,y in the given order.  Each row is rendered with one
+    printf template, which gives the same text as ``format_value`` per
+    value: ``%d`` is ``str(int)`` and ``%.17g`` is ``f"{v:.17g}"``, nan,
+    infinities and -0 included.
     """
     names = list(values)
     idx = np.arange(mesh.ncells)
@@ -74,5 +83,7 @@ def write_field_csv(path, mesh: Mesh, values: dict, config_hash: str) -> Path:
                 f"expected ({mesh.ncells},)")
         columns.append(arr)
 
-    rows = zip(*(col.tolist() for col in columns))
-    return write_csv(path, ["i", "j", "x", "y", *names], rows, config_hash)
+    template = "%d,%d," + ",".join(["%.17g"] * (len(columns) - 2))
+    lines = [template % row for row in zip(*(col.tolist() for col in columns))]
+    return _write_table(path, ["i", "j", "x", "y", *names], lines,
+                        config_hash)

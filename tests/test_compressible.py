@@ -19,6 +19,7 @@ from apeuler.compressible import (
     density_picard,
     eos_values,
     eta_rule,
+    face_dt_bound,
     init_comp,
     pi_gamma_values,
     psi_values,
@@ -26,6 +27,7 @@ from apeuler.compressible import (
     stabilization,
     total_energy,
     total_entropy,
+    upwind_momentum,
     velocity_update,
 )
 from apeuler.fields import CellScalar, CellVector, cell_scalar
@@ -268,9 +270,53 @@ def test_density_picard_sweep_budget_raises(mesh16):
         density_picard(state.rho, state.u, 8e-4, cfg)
 
 
+def test_face_dt_bound_matches_interleaved_reference():
+    # the component-grid kernel against the bound written on interleaved
+    # (ny, nx, 2) grids with np.roll, bit for bit, for C- and F-ordered
+    # inputs on a non-square grid
+    mesh = Mesh(MeshSpec(33, 32, 1.0, 0.7))
+    rng = np.random.default_rng(11)
+    u, g = rng.standard_normal((2, mesh.ncells, 2))
+    rhs = 0.1 + rng.random((2, mesh.ny, mesh.nx))
+    cfg = CompConfig(t_final=1.0, dt_max=1.0)
+    coef = 3.0
+
+    def face_avg(w):
+        w = w.reshape(mesh.ny, mesh.nx, 2)
+        avg = np.stack([np.roll(w, -1, axis=1 - a) for a in (0, 1)])
+        avg = 0.5 * (w + avg)
+        return np.sqrt(avg[..., 0] * avg[..., 0] + avg[..., 1] * avg[..., 1])
+
+    geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
+    denom = geo * (face_avg(u) + np.sqrt(coef * face_avg(g)))
+    expect = min(cfg.cfl_fraction * (1.0 / float((denom / rhs).max())),
+                 cfg.dt_max)
+    for order in ("C", "F"):
+        got = face_dt_bound(mesh, np.asarray(u, order=order),
+                            np.asarray(g, order=order), coef, rhs, cfg)
+        assert got == expect
+
+
 # ---------------------------------------------------------------------------
 # momentum update and full step
 # ---------------------------------------------------------------------------
+
+def test_upwind_momentum_is_layout_independent():
+    mesh = Mesh(MeshSpec(33, 32))
+    rng = np.random.default_rng(12)
+    m, q, g = rng.standard_normal((3, mesh.ncells, 2))
+    un, dn = rng.standard_normal((2, 2, mesh.ny, mesh.nx))
+    split = split_advective_velocity(mesh, un, dn)
+    ref = upwind_momentum(m, q, g, split, 0.01, 0.5)
+    for c in range(2):
+        expect = (m[:, c] - 0.01 * div_upwind_values(
+            mesh, q[:, c], split.wplus, split.wminus) - 0.5 * g[:, c])
+        assert np.array_equal(ref[:, c], expect)
+    out = upwind_momentum(*(np.asfortranarray(a) for a in (m, q, g)),
+                          split, 0.01, 0.5)
+    assert out.T.flags.c_contiguous
+    assert np.array_equal(out, ref)
+
 
 def test_velocity_update_constant_state_exact(mesh4):
     rho = cell_scalar(mesh4, 1.5)

@@ -167,6 +167,26 @@ def test_project_vector_componentwise(mesh4):
     np.testing.assert_allclose(v.values[:, 1], 2.0)
 
 
+def test_cell_vector_is_component_major():
+    # a non-square grid catches nx/ny swaps; C- and F-ordered input give the
+    # same values, stored so that each component is one contiguous column
+    mesh = Mesh(MeshSpec(33, 32))
+    w = np.random.default_rng(3).standard_normal((mesh.ncells, 2))
+    for w_in in (w, np.asfortranarray(w), w.tolist()):
+        v = CellVector(mesh, w_in)
+        assert v.values.shape == (mesh.ncells, 2)
+        assert v.values.dtype == np.float64
+        assert v.values.T.flags.c_contiguous
+        assert np.array_equal(v.values, w)
+    f = np.asfortranarray(w)
+    assert CellVector(mesh, f).values is f          # no copy when stored so
+    v = project_vector(lambda x, y: x, lambda x, y: y, mesh)
+    assert v.values.T.flags.c_contiguous
+    grid = v.values.T.reshape(2, mesh.ny, mesh.nx)
+    assert np.all(np.diff(grid[0], axis=1) > 0.0)   # x grows along a row
+    assert np.all(np.diff(grid[1], axis=0) > 0.0)   # y grows down a column
+
+
 def test_project_rejects_bad_order(mesh4):
     with pytest.raises(ValueError):
         project(lambda x, y: x, mesh4, order=0)
@@ -230,20 +250,24 @@ def test_grad_div_duality(n, rng):
     (2, 2, 1.0, 1.0), (3, 5, 1.0, 1.0), (33, 32, 1.0, 1.0), (32, 16, 1.0, 0.7),
 ])
 def test_kernels_match_roll_reference(nx, ny, lx, ly, rng):
-    # the slice stencils reproduce the periodic np.roll stencils bit for bit
+    # the slice stencils reproduce the periodic np.roll stencils bit for bit,
+    # for vectors stored interleaved (C order) and component-major (F order)
     mesh = Mesh(MeshSpec(nx, ny, lx, ly))
     q = rng.standard_normal(mesh.ncells)
     w = rng.standard_normal((mesh.ncells, 2))
     wplus = np.abs(rng.standard_normal((2, ny, nx)))
     wminus = -np.abs(rng.standard_normal((2, ny, nx)))
     ref = _roll_reference(mesh, w, q, wplus, wminus)
-    assert np.array_equal(grad_values(mesh, q), ref["grad"])
-    assert np.array_equal(div_values(mesh, w), ref["div"])
+    grad = grad_values(mesh, q)
+    assert grad.shape == (mesh.ncells, 2) and grad.T.flags.c_contiguous
+    assert np.array_equal(grad, ref["grad"])
     assert np.array_equal(div_upwind_values(mesh, q, wplus, wminus),
                           ref["div_upwind"])
-    edge_normal = edge_normal_values(mesh, w)
-    assert edge_normal.shape == ref["edge_normal"].shape == (2, ny, nx)
-    assert np.array_equal(edge_normal, ref["edge_normal"])
+    for w_in in (w, np.asfortranarray(w)):
+        assert np.array_equal(div_values(mesh, w_in), ref["div"])
+        edge_normal = edge_normal_values(mesh, w_in)
+        assert edge_normal.shape == ref["edge_normal"].shape == (2, ny, nx)
+        assert np.array_equal(edge_normal, ref["edge_normal"])
 
 
 @pytest.mark.parametrize("nx, ny, lx, ly", [
@@ -298,6 +322,14 @@ def test_laplace_symbol_matches_operator(rng):
     via_fft = np.fft.irfft2(spec, s=(mesh.ny, mesh.nx)).reshape(-1)
     np.testing.assert_allclose(via_fft, -laplace_values(mesh, q),
                                rtol=1e-11, atol=1e-12)
+
+
+def test_laplace_symbol_is_cached_read_only():
+    mesh = Mesh(MeshSpec(12, 10, 1.0, 0.5))
+    s = _laplace_symbol(mesh)
+    assert not s.flags.writeable
+    assert _laplace_symbol(Mesh(MeshSpec(12, 10, 1.0, 0.5))) is s
+    assert _laplace_symbol(Mesh(MeshSpec(12, 10))) is not s
 
 
 def test_laplace_symbol_kernel_is_exact():

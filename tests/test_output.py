@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from apeuler.mesh import Mesh, MeshSpec
 from apeuler.output import atomic_write_text, format_value, write_csv, write_field_csv
 
 
@@ -67,6 +68,21 @@ def test_write_field_csv_layout(tmp_path, mesh2):
     # row-major: cell 1 is (i=1, j=0) centred at (0.75, 0.25)
     assert lines[3] == "1,0,0.75,0.25,2"
     assert len(lines) == 2 + mesh2.ncells
+
+
+def test_write_field_csv_rows_match_format_value(tmp_path):
+    mesh = Mesh(MeshSpec(3, 2))
+    edge = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, 1.0 / 3.0])
+    fields = {"a": edge, "b": edge[::-1] * -2.5e17}
+    path = write_field_csv(tmp_path / "f.csv", mesh, fields, config_hash="h")
+    rows = zip(range(mesh.ncells), mesh.cell_x.tolist(), edge.tolist(),
+               fields["b"].tolist())
+    expect = [",".join([format_value(k % 3), format_value(k // 3),
+                        *(format_value(v) for v in (*xy, a, b))])
+              for k, xy, a, b in rows]
+    lines = path.read_text().splitlines()
+    assert lines[2:] == expect
+    assert "nan" in lines[2] and ",-0," in lines[5] and "-inf" in lines[4]
 
 
 def test_write_field_csv_rejects_bad_shape(tmp_path, mesh2):
