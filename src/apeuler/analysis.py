@@ -96,7 +96,6 @@ class ErrorReport:
     E2: float
     E3: float
     E4: float
-    grid: str
 
 
 @dataclass(frozen=True)
@@ -261,8 +260,7 @@ def error_suite(ensemble: Ensemble, ref_ensemble: Ensemble) -> ErrorReport:
              - _mean_abs_dev(ref_samples, ref_mean))
     e4 = float((w1_empirical(samples, ref_samples) @ mesh.cell_vol).sum())
 
-    return ErrorReport(E1=e1, E2=e2, E3=e3, E4=e4,
-                       grid=f"{mesh.nx}x{mesh.ny}")
+    return ErrorReport(E1=e1, E2=e2, E3=e3, E4=e4)
 
 
 def rel_energy_comp(rho: CellScalar, m: CellVector, r: CellScalar,

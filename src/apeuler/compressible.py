@@ -30,11 +30,11 @@ from .linsolve import SolveReport, solve_transport
 from .mesh import Mesh
 from .operators import (
     EdgeSplit,
-    _components,
     _face_difference,
     _face_sum,
     _laplace_symbol,
     _neighbour,
+    _upwind_flux,
     div_upwind_values,
     edge_normal_values,
     face_gradient_values,
@@ -153,9 +153,7 @@ class StepDiagnostics:
     energy_ok: bool
     # not part of the CSV schema:
     dt_bound: float = math.nan       # CFL value before any output-time clipping
-    eta: float = math.nan
     transport_iters: int = 0
-    transport_residual: float = 0.0
 
 
 @dataclass
@@ -287,25 +285,16 @@ def face_dt_bound(mesh: Mesh, u: np.ndarray, g: np.ndarray, coef: float,
 def _face_magnitude(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     """|{{w}}| per face of per-cell vectors ``w`` (ncells, 2); (2, ny, nx).
 
-    Each component grid is averaged onto both face families at once; the
-    face averages stay far from overflow, so the plain square root is safe
-    and several times cheaper than a scaled hypot.
+    sqrt(normal^2 + tangential^2), the tangential part being the normal one
+    of the swapped components; the face averages stay far from overflow, so
+    the plain square root is safe and several times cheaper than a hypot.
     """
-    wx, wy = _components(mesh, w)
-    sq = _face_average(wx)
+    sq = edge_normal_values(mesh, w)
     sq *= sq
-    avg = _face_average(wy)
-    avg *= avg
-    sq += avg
+    tangential = edge_normal_values(mesh, w[:, ::-1])
+    tangential *= tangential
+    sq += tangential
     return np.sqrt(sq, out=sq)
-
-
-def _face_average(q: np.ndarray) -> np.ndarray:
-    """{{q}} on both face families of a (ny, nx) grid; (2, ny, nx)."""
-    avg = _neighbour(q, q)
-    avg += q
-    avg *= 0.5
-    return avg
 
 
 def comp_dt(state: CompState, config: CompConfig) -> float:
@@ -350,8 +339,8 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
     coef = eta * dt * dt / config.eps**2
     un = edge_normal_values(mesh, u_n.values)
     symbol = _laplace_symbol(mesh)
-    # per-family factors folded into each sweep's face coefficients:
-    # |sigma|/|K| = 1/h of the net outflow, and the fused stencil's 1/(4h)
+    # per-family factors folded into each sweep's face coefficients, so one
+    # face sum serves both: ``_face_divergence``'s 1/h, the stencil's 1/(4h)
     h = np.array([mesh.hx, mesh.hy])[:, None, None]
     upwind_scale = dt / h
     shift_scale = coef / (4.0 * h * h)
@@ -375,14 +364,6 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
         c *= shift_scale
         pp = config.gamma * rho_l ** (config.gamma - 1.0)
 
-        def upwind_flux(x: np.ndarray) -> np.ndarray:
-            """dt (|sigma|/|K|) (x_K w+ + x_L w-) per face."""
-            xk = x.reshape(grid)
-            f = _neighbour(xk, xk)
-            f *= wminus
-            f += xk * wplus
-            return f
-
         def shift_flux(x: np.ndarray) -> np.ndarray:
             """Linearized pressure-gradient shift per face:
             coef (|sigma|/|K|) c_sigma {{grad (p' x)}}_sigma . nu."""
@@ -393,7 +374,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
         def apply(x: np.ndarray) -> np.ndarray:
             """x + dt div_up(x) - coef * shift(x): one face flux and one
             net outflow."""
-            f = upwind_flux(x)
+            f = _upwind_flux(x.reshape(grid), wplus, wminus)
             f -= shift_flux(x)
             out = _face_sum(f)
             out += x
@@ -407,7 +388,8 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
         # tolerance of the full system, which stays reachable in float64
         # even when the shift terms carry h^-2/eps^2 scales
         target = config.transport_tol * float(np.linalg.norm(b))
-        r0 = b - (rho_l + _face_sum(upwind_flux(rho_l)) - shift_l)
+        r0 = b - (rho_l + _face_sum(_upwind_flux(rk, wplus, wminus))
+                  - shift_l)
         r0_norm = float(np.linalg.norm(r0))
         if r0_norm <= target:
             rho_next, report = rho_l, SolveReport(0, r0_norm, True)
@@ -522,9 +504,7 @@ def comp_step(state: CompState, config: CompConfig,
         rho_min=float(rho_new.values.min()),
         rho_max=float(rho_new.values.max()),
         stab_dissipation=stab, energy_ok=energy_ok,
-        dt_bound=dt_bound, eta=eta,
-        transport_iters=report.iterations,
-        transport_residual=report.residual,
+        dt_bound=dt_bound, transport_iters=report.iterations,
     )
     return new_state, diag
 

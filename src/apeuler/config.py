@@ -26,6 +26,7 @@ __all__ = [
     "load_config",
     "render_config",
     "config_hash",
+    "eps_tag",
     "comp_config",
     "incomp_config",
 ]
@@ -35,6 +36,11 @@ MODES = ("compressible", "incompressible", "convergence_study")
 
 class ConfigError(ValueError):
     """Raised for unparseable files and violated config invariants."""
+
+
+def eps_tag(eps: float) -> str:
+    """An eps value in output paths and run labels: six significant digits."""
+    return f"{eps:g}"
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,10 @@ class ExperimentConfig:
                 f"of {g0}, at least {self.grids[-1]}")
         if not self.eps:
             raise ConfigError("eps list must be nonempty")
+        tags = [eps_tag(eps) for eps in self.eps]
+        if len(set(tags)) < len(tags):
+            raise ConfigError(f"eps entries must differ in six significant "
+                              f"digits, their output tags: {', '.join(tags)}")
         if not self.t_final > 0.0:
             raise ConfigError(f"t_final must be positive, got {self.t_final}")
         if self.output_count < 2:

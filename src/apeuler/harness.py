@@ -42,7 +42,8 @@ from .analysis import (
 )
 from .cases import comp_initial_data, incomp_initial_data
 from .compressible import Trajectory, default_output_times, init_comp, run_comp
-from .config import ExperimentConfig, comp_config, config_hash, incomp_config
+from .config import (ExperimentConfig, comp_config, config_hash, eps_tag,
+                     incomp_config)
 from .fields import CellScalar, CellVector, cell_scalar
 from .incompressible import init_incomp, run_incomp
 from .mesh import Mesh, MeshSpec
@@ -70,10 +71,6 @@ class OutputBundle:
         return not self.failures
 
 
-def _eps_tag(eps: float) -> str:
-    return f"{eps:g}"
-
-
 def _comp_job(cfg: ExperimentConfig, grid: int, eps: float):
     mesh = Mesh(MeshSpec(nx=grid, ny=grid))
     rho0, u0 = comp_initial_data(eps)
@@ -91,7 +88,7 @@ def _incomp_job(cfg: ExperimentConfig, grid: int):
 
 def _job_label(key: tuple) -> str:
     if key[0] == "comp":
-        return f"comp k={key[1]} eps={_eps_tag(key[2])}"
+        return f"comp k={key[1]} eps={eps_tag(key[2])}"
     return f"incomp k={key[1]}"
 
 
@@ -160,7 +157,7 @@ def _write_runs(outdir: Path, results: dict, gamma: float,
     files: list[Path] = []
     for key, traj in sorted(results.items(), key=lambda kv: _job_label(kv[0])):
         if key[0] == "comp":
-            rundir = outdir / "runs" / f"comp_k{key[1]}_eps{_eps_tag(key[2])}"
+            rundir = outdir / "runs" / f"comp_k{key[1]}_eps{eps_tag(key[2])}"
             files += _write_comp_run(rundir, traj, key[2], gamma, chash)
         else:
             rundir = outdir / "runs" / f"incomp_k{key[1]}"
@@ -294,7 +291,7 @@ def _comp_tables(cfg: ExperimentConfig, results: dict):
                density_sup_rows(results, g, eps_list, cfg.gamma))
         yield f"velocity_gap_k{g}.csv", velocity_gap_rows(results, g, eps_list)
     for eps in eps_list:
-        yield (f"errors_comp_eps{_eps_tag(eps)}.csv",
+        yield (f"errors_comp_eps{eps_tag(eps)}.csv",
                error_rows(results, cfg.grids, cfg.ref_grid, cfg.t_final, eps))
     yield "div_residual.csv", div_residual_rows(results, all_grids[-1], eps_list)
 

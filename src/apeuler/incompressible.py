@@ -33,9 +33,8 @@ from .fields import CellScalar, CellVector
 from .linsolve import SolveReport
 from .mesh import Mesh
 from .operators import (
+    _face_divergence,
     _laplace_symbol,
-    _net_outflow,
-    _scale_by_face_length,
     div_values,
     edge_normal_values,
     grad_values,
@@ -106,8 +105,6 @@ class IncompStepDiagnostics:
     energy_ok: bool
     # not part of the CSV schema:
     dt_bound: float = math.nan
-    stab_dissipation: float = 0.0
-    pi_linf: float = 0.0
 
 
 def kinetic_energy(v: CellVector) -> float:
@@ -210,8 +207,8 @@ def incomp_step(state: IncompState, config: IncompConfig,
                                              gpi, split, dt, dt))
 
     # divergence of the face velocity un - dn that the upwind flux transports
-    resid = _net_outflow(mesh, _scale_by_face_length(mesh, un - dn))
-    div_residual = lp_norm(CellScalar(mesh, resid), 2)
+    resid = CellScalar(mesh, _face_divergence(mesh, un - dn))
+    div_residual = lp_norm(resid, 2)
 
     ke = kinetic_energy(v_new)
     energy_ok = bool(ke <= ke_prev * (1.0 + 1e-10))
@@ -219,17 +216,13 @@ def incomp_step(state: IncompState, config: IncompConfig,
         log.warning("kinetic energy grew at step %d: %.15e -> %.15e",
                     state.step, ke_prev, ke)
 
-    gpi_sq = np.einsum("kc,kc->k", gpi, gpi)
-    stab = (config.eta - 1.0) * dt**2 * float(np.dot(mesh.cell_vol, gpi_sq))
-
     new_state = IncompState(t=state.t + dt, v=v_new, pi=pi_new,
                             step=state.step + 1, ke=ke)
     diag = IncompStepDiagnostics(
         step=new_state.step, t=new_state.t, dt=dt,
         kinetic_energy=ke, div_residual=div_residual,
         pressure_iters=report.iterations, energy_ok=energy_ok,
-        dt_bound=dt_bound, stab_dissipation=stab,
-        pi_linf=float(np.abs(pi_new.values).max()),
+        dt_bound=dt_bound,
     )
     return new_state, diag
 

@@ -13,6 +13,10 @@ shape ``(2, ny, nx)``, x-faces first: entry ``[a, j, i]`` is the face on the
 sum is evaluated in the fixed order +x, -x, +y, -y, which keeps results
 independent of how the faces are visited.
 
+On the uniform grid the finite-volume weight |sigma|/|K| of a face is 1/h
+across it.  Every divergence applies it through ``_face_divergence`` and the
+gradient applies it halved, both as reciprocals, exact for power-of-two h.
+
 The sign-split pair carried by :class:`EdgeSplit` is the stabilized advective
 normal velocity split into nonnegative/nonpositive halves per face.  The two
 halves are split *separately* for the transporting velocity and the
@@ -73,13 +77,6 @@ def _components(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     return w.T.reshape(2, mesh.ny, mesh.nx)
 
 
-def _scale_by_face_length(mesh: Mesh, f: np.ndarray) -> np.ndarray:
-    """Multiply a (2, ny, nx) face array in place by |sigma| of its family."""
-    f[0] *= mesh.hy
-    f[1] *= mesh.hx
-    return f
-
-
 def _face_sum(flux: np.ndarray) -> np.ndarray:
     """Sum over the faces of each cell of the outward flux, per cell.
 
@@ -102,11 +99,21 @@ def _face_sum(flux: np.ndarray) -> np.ndarray:
     return out
 
 
-def _net_outflow(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
-    """(1/|K|) sum over the faces of K of the outward flux, per cell."""
-    out = _face_sum(flux)
-    out /= mesh.hx * mesh.hy
-    return out
+def _face_divergence(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
+    """(1/|K|) sum over the faces sigma of K of |sigma| times the outward
+    flux, per cell: ``_face_sum`` of ``flux`` scaled in place by 1/h."""
+    flux[0] *= 1.0 / mesh.hx
+    flux[1] *= 1.0 / mesh.hy
+    return _face_sum(flux)
+
+
+def _upwind_flux(q: np.ndarray, wplus: np.ndarray,
+                 wminus: np.ndarray) -> np.ndarray:
+    """Donor-cell flux q_K w+ + q_L w- per face of a (ny, nx) grid."""
+    flux = _neighbour(q, q)
+    flux *= wminus
+    flux += q * wplus
+    return flux
 
 
 def _face_difference(q: np.ndarray) -> np.ndarray:
@@ -142,35 +149,30 @@ def _face_difference(q: np.ndarray) -> np.ndarray:
 def grad_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
     """Central cell gradient of per-cell values ``q``; (ncells, 2)."""
     q = q.reshape(mesh.ny, mesh.nx)
-    g = _neighbour(q, q)
-    g -= q
-    g *= 0.5
-    gx, gy = _scale_by_face_length(mesh, g)
+    d = _neighbour(q, q)
+    d -= q
     out = np.empty((2, mesh.ny, mesh.nx))
-    # The half-difference toward the neighbour enters with + sign on both
-    # sides of a face: the (q_L - q_K) flip and the normal flip cancel.
-    np.add(gx[:, 1:], gx[:, :-1], out=out[0, :, 1:])
-    np.add(gx[:, :1], gx[:, -1:], out=out[0, :, :1])
-    np.add(gy[1:], gy[:-1], out=out[1, 1:])
-    np.add(gy[:1], gy[-1:], out=out[1, :1])
-    out /= mesh.hx * mesh.hy
+    # The forward difference q_L - q_K enters with + sign on both sides of
+    # a face: the difference flip and the normal flip cancel.
+    np.add(d[0, :, 1:], d[0, :, :-1], out=out[0, :, 1:])
+    np.add(d[0, :, :1], d[0, :, -1:], out=out[0, :, :1])
+    np.add(d[1, 1:], d[1, :-1], out=out[1, 1:])
+    np.add(d[1, :1], d[1, -1:], out=out[1, :1])
+    out[0] *= 0.5 / mesh.hx
+    out[1] *= 0.5 / mesh.hy
     return out.reshape(2, -1).T
 
 
 def div_values(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     """Divergence of per-cell vectors ``w`` (ncells, 2) from face averages."""
-    s = edge_normal_values(mesh, w)
-    return _net_outflow(mesh, _scale_by_face_length(mesh, s))
+    return _face_divergence(mesh, edge_normal_values(mesh, w))
 
 
 def div_upwind_values(mesh: Mesh, q: np.ndarray, wplus: np.ndarray,
                       wminus: np.ndarray) -> np.ndarray:
     """Upwind divergence of per-cell values ``q`` for a pre-split velocity."""
-    q = q.reshape(mesh.ny, mesh.nx)
-    flux = _neighbour(q, q)
-    flux *= wminus
-    flux += q * wplus
-    return _net_outflow(mesh, _scale_by_face_length(mesh, flux))
+    flux = _upwind_flux(q.reshape(mesh.ny, mesh.nx), wplus, wminus)
+    return _face_divergence(mesh, flux)
 
 
 def edge_normal_values(mesh: Mesh, w: np.ndarray) -> np.ndarray:
@@ -190,8 +192,8 @@ def face_gradient_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
     ``edge_normal_values(mesh, grad_values(mesh, q))`` up to roundoff.
     """
     out = _face_difference(q.reshape(mesh.ny, mesh.nx))
-    out[0] /= 4.0 * mesh.hx
-    out[1] /= 4.0 * mesh.hy
+    out[0] *= 0.25 / mesh.hx
+    out[1] *= 0.25 / mesh.hy
     return out
 
 

@@ -277,7 +277,6 @@ def test_error_suite_identical_is_zero(mesh2, rng):
     ens = Ensemble(snaps, time=0.0)
     rep = error_suite(ens, ens)
     assert (rep.E1, rep.E2, rep.E3, rep.E4) == (0.0, 0.0, 0.0, 0.0)
-    assert rep.grid == "2x2"
 
 
 def test_error_suite_constant_oracle(mesh2):

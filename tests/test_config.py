@@ -95,6 +95,8 @@ REMOVED = {
     "ref_grid = 64",            # smaller than finest grid (128)
     "ref_grid = 384",           # not a power-of-two multiple
     "eps = 1.0,-0.5",
+    "eps = 1.0,1.0",            # repeated table rows and manifest entries
+    "eps = 0.1,0.1000001",      # same run directory comp_k*_eps0.1
     "gamma = 1.0",
     "t_final = 0.0",
     "output_count = 1",
