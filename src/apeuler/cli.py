@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override the Mach number list")
     run.add_argument("--out", metavar="DIR", help="override output directory")
     run.add_argument("--workers", type=int, metavar="N",
-                     help="concurrent sweep cells")
+                     help="sweep cells run at a time, each in its own process")
     run.add_argument("--print-defaults", action="store_true",
                      help="print the built-in defaults and exit")
     run.add_argument("--print-config", action="store_true",

@@ -46,7 +46,7 @@ def eps_tag(eps: float) -> str:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What defines a study, plus where it is written and on how many
-    threads.  A field named like a ``CompConfig`` or ``IncompConfig`` field
+    processes.  A field named like a ``CompConfig`` or ``IncompConfig`` field
     (``eps`` aside) takes its default from there or their ``SchemeConfig``
     base and is passed through to the per-run configs untouched; how exactly
     the inner solves converge is left to those configs' defaults."""
@@ -183,7 +183,7 @@ def render_config(cfg: ExperimentConfig) -> str:
 def config_hash(cfg: ExperimentConfig) -> str:
     """Hex digest of the fields that can change a result, stamped into every
     output file: ``outdir`` and ``workers`` are left out, so the same study
-    written elsewhere or on more threads gives byte-identical files."""
+    written elsewhere or on more processes gives byte-identical files."""
     text = "".join(line for line in render_config(cfg).splitlines(True)
                    if line.split(" = ", 1)[0] not in ("outdir", "workers"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -22,9 +22,10 @@ the configured output directory with the config hash stamped in.
 
 from __future__ import annotations
 
+import contextlib
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -99,14 +100,28 @@ def _run_cell(cfg: ExperimentConfig, key: tuple) -> Trajectory:
 
 
 def _sweep(cfg: ExperimentConfig, cells) -> tuple[dict, dict]:
-    """Run each cell once on ``cfg.workers`` threads; returns trajectories
-    and failure messages keyed by cell, a failure confined to its cell."""
+    """Run each cell once; returns trajectories and failure messages keyed
+    by cell, a failure confined to its cell.  With one worker the cells run
+    in this process, else on ``cfg.workers`` forked processes, at most one
+    per cell.  A worker that dies fails every cell not finished by then."""
+    workers = min(cfg.workers, len(cells))
     results, failures = {}, {}
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = {key: pool.submit(_run_cell, cfg, key) for key in cells}
-        for key, fut in futures.items():
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # imported here, so a run without a pool never loads them; fork,
+            # so the children inherit the imported package and a driver
+            # script without a __main__ guard is not run again in each
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")))
+            outcomes = {key: pool.submit(_run_cell, cfg, key).result
+                        for key in cells}
+        else:
+            outcomes = {key: partial(_run_cell, cfg, key) for key in cells}
+        for key, outcome in outcomes.items():
             try:
-                results[key] = fut.result()
+                results[key] = outcome()
             except Exception as exc:  # cell isolation is the whole point
                 log.warning("sweep cell failed: %s: %s", _job_label(key), exc)
                 failures[key] = f"{_job_label(key)}: {exc}"

@@ -127,7 +127,7 @@ def test_config_hash_stability_and_sensitivity():
     a = default_config()
     assert config_hash(a) == config_hash(default_config())
     assert len(config_hash(a)) == 16
-    # where and on how many threads a study runs does not name its results
+    # where and on how many processes a study runs does not name its results
     assert config_hash(parse_config_text("outdir = elsewhere\n")) == \
         config_hash(a)
     assert config_hash(parse_config_text("workers = 2\n")) == config_hash(a)

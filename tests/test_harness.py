@@ -2,7 +2,11 @@
 per sweep cell, determinism across reruns and worker counts, failure
 isolation, exit codes, and the package names the benchmark tracer wraps."""
 
+import concurrent.futures
+import faulthandler
 import importlib.util
+import multiprocessing
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -196,15 +200,20 @@ def test_worker_count_does_not_change_results(tmp_path, mode):
 # failure isolation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("mode, subdirs, failed_grids", [
-    pytest.param("compressible", [""], [4, 8, 16], id="compressible"),
+@pytest.mark.parametrize("mode, subdirs, failed_grids, workers", [
+    pytest.param("compressible", [""], [4, 8, 16], 1, id="compressible"),
     # the comp bundle needs eps = 0.01 on every grid, the incomp bundle on
     # its finest sweep grid; each bundle lists the failures of its own cells
-    pytest.param("convergence_study", ["comp", "incomp"], [4, 8, 16, 8],
+    pytest.param("convergence_study", ["comp", "incomp"], [4, 8, 16, 8], 1,
                  id="convergence_study"),
+    # forked workers inherit the monkeypatch
+    pytest.param("compressible", [""], [4, 8, 16], 2,
+                 id="compressible-workers2"),
+    pytest.param("convergence_study", ["comp", "incomp"], [4, 8, 16, 8], 2,
+                 id="convergence_study-workers2"),
 ])
 def test_sweep_cell_failure_is_isolated(tmp_path, monkeypatch, mode, subdirs,
-                                        failed_grids):
+                                        failed_grids, workers):
     real = harness._comp_job
 
     def flaky(cfg, grid, eps):
@@ -213,7 +222,8 @@ def test_sweep_cell_failure_is_isolated(tmp_path, monkeypatch, mode, subdirs,
         return real(cfg, grid, eps)
 
     monkeypatch.setattr(harness, "_comp_job", flaky)
-    cfg = _cfg(TINY, tmp_path / "f", extra=f"mode = {mode}\n")
+    cfg = _cfg(TINY, tmp_path / "f",
+               extra=f"mode = {mode}\nworkers = {workers}\n")
     bundle = run_experiment(cfg)
 
     assert not bundle.ok
@@ -230,6 +240,46 @@ def test_sweep_cell_failure_is_isolated(tmp_path, monkeypatch, mode, subdirs,
         cross = (bundle.outdir / "incomp" / "tables"
                  / "cross_scheme_rel_energy.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in cross[2:]] == ["1"]
+
+
+def test_dead_worker_fails_its_cells_and_leaves_no_process(tmp_path,
+                                                          monkeypatch):
+    # a worker that dies outright fails its own cell and every cell still
+    # pending with BrokenProcessPool; the sweep returns and reaps the pool
+    real = harness._comp_job
+
+    def dying(cfg, grid, eps):
+        if (grid, eps) == (8, 0.01):
+            os._exit(1)
+        return real(cfg, grid, eps)
+
+    monkeypatch.setattr(harness, "_comp_job", dying)
+    faulthandler.dump_traceback_later(120, exit=True)   # a hang fails loudly
+    try:
+        bundle = run_experiment(_cfg(TINY, tmp_path / "x",
+                                     extra="workers = 2\n"))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+    assert any(f.startswith("comp k=8 eps=0.01: ") for f in bundle.failures)
+    assert (bundle.outdir / "manifest.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+    # the fork context starts every worker at the first submit
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    cfg = _cfg(SMALLEST, tmp_path / "p", extra="workers = 8\n")
+    results, failures = harness._sweep(cfg, [("incomp", 4), ("incomp", 8)])
+    assert sizes == [2]
+    assert sorted(results) == [("incomp", 4), ("incomp", 8)] and not failures
 
 
 # ---------------------------------------------------------------------------
