@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 ``apeuler run`` executes a study described by a config file plus optional
-command-line overrides.  Exit codes: 0 on full success, 1 on a config
-error, 2 when some sweep cells failed but the rest completed.
+command-line overrides.  Exit codes: 0 on full success, 1 on a usage or
+config error, 2 when some sweep cells failed but the rest completed.
 """
 
 from __future__ import annotations
@@ -68,7 +68,10 @@ def _effective_config(args):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2; here 2 means failed cells
+        return 1 if exc.code else 0
 
     if args.print_defaults:
         print(render_config(default_config()), end="")

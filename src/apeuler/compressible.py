@@ -219,17 +219,17 @@ def total_entropy(rho: CellScalar, u: CellVector, eps: float, gamma: float) -> f
 # scheme building blocks
 # ---------------------------------------------------------------------------
 
-def init_comp(rho0, u0, mesh: Mesh, eps: float, gamma: float = 2.0,
-              order: int = 3) -> CompState:
+def init_comp(rho0, u0, mesh: Mesh, eps: float,
+              gamma: float = 2.0) -> CompState:
     """Project pointwise initial data (rho0, u0) onto the mesh.
 
     ``u0`` is a pair of pointwise component functions.  The initial total
     energy (bounded uniformly in eps for well-prepared data) is logged.
     """
-    rho = project(rho0, mesh, order)
+    rho = project(rho0, mesh)
     if np.any(rho.values <= 0.0):
         raise ValueError("projected initial density is not positive")
-    u = project_vector(u0[0], u0[1], mesh, order)
+    u = project_vector(u0[0], u0[1], mesh)
     state = CompState(t=0.0, rho=rho, u=u, step=0)
     log.info("initial data on %dx%d: energy %.12e (eps=%g), max|rho-1|=%.3e",
              mesh.nx, mesh.ny, total_energy(rho, u, eps, gamma), eps,
@@ -397,7 +397,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
             # right preconditioner (I - beta div grad)^{-1}: the composed
             # central Laplacian is diagonal in rfft2 space, and beta >= 0
             # keeps the shifted operator positive definite
-            rho_bar = float(np.dot(mesh.cell_vol, rho_l)) / mesh.domain_vol
+            rho_bar = float(np.dot(mesh.cell_vol, rho_l))   # mean, area 1
             beta = coef * config.gamma * rho_bar ** config.gamma
             denom = 1.0 + beta * symbol
 

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    Ensemble,
     comp_snapshot,
     density_deviation,
     eoc,
@@ -207,7 +208,9 @@ def error_rows(results: dict, grids, ref_grid: int, time: float,
                eps: float | None = None):
     """Cumulative refinement-sequence errors of the limit runs, or of the
     compressible runs at ``eps``: row k compares the sequence up to grid k
-    against the full one ending at ``ref_grid``; no rows unless all finished."""
+    against the full one ending at ``ref_grid``; no rows unless all finished.
+    ``grids`` rises to at most ``ref_grid`` (``ExperimentConfig`` checks
+    it), so each row takes a prefix of the full sequence's members."""
     columns = ["k", "h", "E1", "E2", "E3", "E4"]
     all_grids = sorted(set(grids) | {ref_grid})
     runs = [results.get(("incomp", g) if eps is None else ("comp", g, eps))
@@ -215,13 +218,12 @@ def error_rows(results: dict, grids, ref_grid: int, time: float,
     if any(run is None for run in runs):
         return columns, []
     snapshot = incomp_snapshot if eps is None else comp_snapshot
-    snaps = {g: snapshot(run.states[-1]) for g, run in zip(all_grids, runs)}
-    ref_ens = make_ensemble([snaps[g] for g in all_grids], time)
+    ref_ens = make_ensemble([snapshot(run.states[-1]) for run in runs], time)
     rows = []
     for j, g in enumerate(grids):
-        ens = make_ensemble([snaps[gg] for gg in grids[:j + 1]], time)
+        ens = Ensemble(ref_ens.members[:j + 1], ref_ens.time)
         rep = error_suite(ens, ref_ens)
-        rows.append((g, snaps[g].mesh.h, rep.E1, rep.E2, rep.E3, rep.E4))
+        rows.append((g, runs[j].mesh.h, rep.E1, rep.E2, rep.E3, rep.E4))
     return columns, rows
 
 

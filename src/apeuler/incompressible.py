@@ -62,6 +62,8 @@ __all__ = [
 
 #: sufficient time-step constant of the energy bound in two dimensions
 BETA_2D = 1.0 / 8.0
+#: relative residual the spectral pressure solve must reach
+PRESSURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,13 @@ def kinetic_energy(v: CellVector) -> float:
     return 0.5 * float(np.dot(v.mesh.cell_vol, sq))
 
 
-def init_incomp(v0, mesh: Mesh, order: int = 3) -> IncompState:
+def init_incomp(v0, mesh: Mesh) -> IncompState:
     """Project pointwise initial velocity; pressure starts at zero.
 
     The projection is not re-projected onto the discrete constraint — the
     first pressure solve absorbs whatever divergence it carries.
     """
-    v = project_vector(v0[0], v0[1], mesh, order)
+    v = project_vector(v0[0], v0[1], mesh)
     pi = CellScalar(mesh, np.zeros(mesh.ncells))
     return IncompState(t=0.0, v=v, pi=pi, step=0)
 
@@ -140,8 +142,8 @@ def pressure_kernel_basis(mesh: Mesh) -> np.ndarray:
     return basis / math.sqrt(mesh.ncells)
 
 
-def pressure_solve(v_n: CellVector, eta: float, dt: float,
-                   tol: float = 1e-10) -> tuple[CellScalar, SolveReport]:
+def pressure_solve(v_n: CellVector, eta: float,
+                   dt: float) -> tuple[CellScalar, SolveReport]:
     """Solve eta dt (div grad) pi = div v^n directly in Fourier space.
 
     The composed Laplacian is translation invariant on the uniform periodic
@@ -150,7 +152,8 @@ def pressure_solve(v_n: CellVector, eta: float, dt: float,
     returned pressure has zero mean and zero checkerboard components.  The
     report carries the recomputed residual ||b_defl + eta dt laplace(pi)||,
     where b_defl is b = -div v^n with its kernel modes removed (its norm
-    lands in ``deflated_norm``); a residual above tol ||b_defl|| raises.
+    lands in ``deflated_norm``); a residual above PRESSURE_TOL ||b_defl||
+    raises.
     """
     if not (eta > 0.0 and dt > 0.0):
         raise ValueError("eta and dt must be positive")
@@ -169,10 +172,10 @@ def pressure_solve(v_n: CellVector, eta: float, dt: float,
     np.divide(spec, s, out=spec, where=s > 0.0)
     x = np.fft.irfft2(spec, s=shape).reshape(-1)
     residual = float(np.linalg.norm(b_defl + coeff * laplace_values(mesh, x)))
-    if not residual <= tol * bnorm:
+    if not residual <= PRESSURE_TOL * bnorm:
         raise RuntimeError(
             f"pressure solve missed its tolerance: residual {residual:.3e} "
-            f"against {tol * bnorm:.3e}")
+            f"against {PRESSURE_TOL * bnorm:.3e}")
     return CellScalar(mesh, x), SolveReport(1, residual, True, removed)
 
 

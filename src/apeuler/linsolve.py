@@ -31,6 +31,9 @@ __all__ = ["SolveReport", "solve_transport", "solve_deflated_spd"]
 
 Operator = Callable[[np.ndarray], np.ndarray]
 
+#: BiCGStab iterations after which a transport solve gives up
+TRANSPORT_MAX_ITER = 400
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -52,7 +55,7 @@ def _true_residual(A, b, x) -> float:
 
 
 def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
-                    max_iter: int = 400, M: Operator | None = None,
+                    M: Operator | None = None,
                     ) -> tuple[np.ndarray, SolveReport]:
     """BiCGStab from a zero initial guess, right-preconditioned by ``M``.
 
@@ -62,8 +65,8 @@ def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
     s enter the iterate as M p and M s, so the Krylov space is that of A M
     while the iterate, its residual and the reported residual are those of
     A x = b.  A is applied as often as without ``M``, and ``M`` at most
-    twice per iteration.  Non-convergence is flagged on the report and
-    logged, never silent.
+    twice per iteration.  After TRANSPORT_MAX_ITER iterations it stops;
+    non-convergence is flagged on the report and logged, never silent.
     """
     b = np.asarray(b, dtype=np.float64)
     bnorm = float(np.linalg.norm(b))
@@ -79,7 +82,7 @@ def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
     p = np.zeros_like(b)
     iterations = 0
 
-    while iterations < max_iter:
+    while iterations < TRANSPORT_MAX_ITER:
         rho = float(np.dot(r_hat, r))
         if rho == 0.0:
             break  # breakdown; report what we have

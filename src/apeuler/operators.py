@@ -1,5 +1,5 @@
 """Discrete differential operators, upwind fluxes, projections and norms on
-uniform periodic meshes.
+uniform meshes of the periodic unit square.
 
 Per-cell scalars are viewed as ``(ny, nx)`` grids and every stencil is a
 periodic neighbour shift built from slice assignments.  Per-cell vectors
@@ -27,7 +27,7 @@ upwind transport operator an M-matrix regardless of the correction's sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -213,13 +213,14 @@ def _laplace_symbol(mesh: Mesh) -> np.ndarray:
     spectral solvers can recognize the kernel reliably.  The array is
     read-only and computed once per grid.
     """
-    return _grid_symbol(mesh.nx, mesh.ny, mesh.hx, mesh.hy)
+    return _grid_symbol(mesh.nx, mesh.ny)
 
 
 @lru_cache(maxsize=8)
-def _grid_symbol(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
+def _grid_symbol(nx: int, ny: int) -> np.ndarray:
     """``_laplace_symbol`` keyed on the grid sizes, so no mesh is kept
     alive by the cache."""
+    hx, hy = 1.0 / nx, 1.0 / ny
     sx = (np.sin(2.0 * np.pi * np.arange(nx // 2 + 1) / nx) / hx) ** 2
     sy = (np.sin(2.0 * np.pi * np.arange(ny) / ny) / hy) ** 2
     if nx % 2 == 0:
@@ -275,45 +276,41 @@ def split_advective_velocity(mesh: Mesh, un: np.ndarray,
 # projection and averaging
 # ---------------------------------------------------------------------------
 
-@cache
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [0, 1], weights summing to 1; read-only
-    arrays, computed once per order."""
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
-    x, w = leggauss(order)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the 3-point Gauss-Legendre rule on [0, 1] and the weights of
+    its tensor 3x3 rule, which sum to 1; read-only."""
+    x, w = leggauss(3)
+    nodes, weights = 0.5 * (x + 1.0), np.outer(0.5 * w, 0.5 * w)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
-def project(f: Callable, mesh: Mesh, order: int = 3) -> CellScalar:
-    """Cell means of a pointwise function by tensor Gauss quadrature.
+_GAUSS_NODES, _GAUSS_WEIGHTS_2D = _gauss_rule()
 
-    The default 3x3 rule is exact for polynomials of degree <= 5 per
-    direction.  ``f`` must accept numpy arrays and broadcast.
+
+def project(f: Callable, mesh: Mesh) -> CellScalar:
+    """Cell means of a pointwise function by the tensor 3x3 Gauss rule,
+    exact for polynomials of degree <= 5 per direction.  ``f`` must accept
+    numpy arrays and broadcast.
     """
-    xi, wq = _gauss_nodes(order)
     cx, cy = mesh.cell_x[:, 0], mesh.cell_x[:, 1]
     # one (ncells,) evaluation per node: the same points as one broadcast
-    # (ncells, order, order) call, with an order^2 times smaller working set
-    # for the temporaries of f
-    vals = np.empty((mesh.ncells, order, order))
-    for a in range(order):
-        px = cx + (xi[a] - 0.5) * mesh.hx
-        for b in range(order):
-            vals[:, a, b] = f(px, cy + (xi[b] - 0.5) * mesh.hy)
-    wgt = wq[:, None] * wq[None, :]
-    return CellScalar(mesh, np.einsum("kab,ab->k", vals, wgt))
+    # (ncells, 3, 3) call, with a 9 times smaller working set for the
+    # temporaries of f
+    vals = np.empty((mesh.ncells, 3, 3))
+    for a, xa in enumerate(_GAUSS_NODES):
+        px = cx + (xa - 0.5) * mesh.hx
+        for b, xb in enumerate(_GAUSS_NODES):
+            vals[:, a, b] = f(px, cy + (xb - 0.5) * mesh.hy)
+    return CellScalar(mesh, np.einsum("kab,ab->k", vals, _GAUSS_WEIGHTS_2D))
 
 
-def project_vector(fx: Callable, fy: Callable, mesh: Mesh,
-                   order: int = 3) -> CellVector:
+def project_vector(fx: Callable, fy: Callable, mesh: Mesh) -> CellVector:
     """Componentwise projection of a pointwise vector field."""
     out = np.empty((2, mesh.ncells)).T      # component-major: no copy below
-    out[:, 0] = project(fx, mesh, order).values
-    out[:, 1] = project(fy, mesh, order).values
+    out[:, 0] = project(fx, mesh).values
+    out[:, 1] = project(fy, mesh).values
     return CellVector(mesh, out)
 
 
@@ -335,6 +332,6 @@ def lp_norm(q, p) -> float:
         return float(np.dot(vol, mag))
     if p == 2:
         return float(np.sqrt(np.dot(vol, mag * mag)))
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(mag.max()) if mag.size else 0.0
     raise ValueError(f"unsupported norm order {p!r}")

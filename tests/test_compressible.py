@@ -274,7 +274,7 @@ def test_face_dt_bound_matches_interleaved_reference():
     # the component-grid kernel against the bound written on interleaved
     # (ny, nx, 2) grids with np.roll, bit for bit, for C- and F-ordered
     # inputs on a non-square grid
-    mesh = Mesh(MeshSpec(33, 32, 1.0, 0.7))
+    mesh = Mesh(MeshSpec(33, 20))
     rng = np.random.default_rng(11)
     u, g = rng.standard_normal((2, mesh.ncells, 2))
     rhs = 0.1 + rng.random((2, mesh.ny, mesh.nx))
@@ -365,17 +365,16 @@ def test_comp_step_energy_and_entropy_monotone(mesh16, eps):
 
 
 @given(nx=st.integers(3, 12), ny=st.integers(3, 12),
-       ly=st.floats(0.5, 2.0), gamma=st.floats(1.0, 3.0, exclude_min=True),
+       gamma=st.floats(1.0, 3.0, exclude_min=True),
        log_eps=st.floats(-8.0, 0.0), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_comp_step_invariants_on_random_grids(nx, ny, ly, gamma, log_eps,
-                                              seed):
+def test_comp_step_invariants_on_random_grids(nx, ny, gamma, log_eps, seed):
     # well-prepared seeded data: density 1 + O(eps^2) and a velocity that is
     # the perpendicular central gradient of a random stream function, hence
     # discretely divergence-free; mass, momentum, positivity and the energy
     # inequality must hold on every step of every grid shape
     eps = 10.0 ** log_eps
-    mesh = Mesh(MeshSpec(nx, ny, ly=ly))
+    mesh = Mesh(MeshSpec(nx, ny))
     rng = np.random.default_rng(seed)
     rho = CellScalar(mesh, 1.0 + eps**2 * rng.uniform(0.0, 1.0, mesh.ncells))
     g = grad_values(mesh, rng.standard_normal(mesh.ncells))

@@ -314,6 +314,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--workers", "x"], 1),
+    (["run", "--no-such-flag"], 1),
+    ([], 1),
+    (["run", "--help"], 0),
+], ids=["bad-workers", "unknown-flag", "no-subcommand", "help"])
+def test_cli_usage_error_exit_code(argv, code):
+    # a usage error shares the code of a config error; 2 means failed cells
+    assert cli.main(argv) == code
+
+
 def test_cli_scheme_knob_out_of_range_is_config_error(tmp_path, capsys):
     # cfl_fraction > 1 is rejected by the per-run configs: the CLI reports
     # a config error before any sweep cell runs

@@ -44,8 +44,17 @@ def _shear_state(mesh):
 
 
 def _mean(q: CellScalar) -> float:
-    """Volume-weighted mean over the domain."""
-    return float(np.dot(q.mesh.cell_vol, q.values)) / q.mesh.domain_vol
+    """Volume-weighted mean over the unit square."""
+    return float(np.dot(q.mesh.cell_vol, q.values))
+
+
+def _pressure(v: CellVector, eta: float, dt: float) -> CellScalar:
+    """``pressure_solve`` with its residual held to 1e-12 ||div v||."""
+    pi, report = pressure_solve(v, eta, dt)
+    assert report.converged
+    div_norm = float(np.linalg.norm(div_values(v.mesh, v.values)))
+    assert report.residual <= 1e-12 * div_norm
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +125,7 @@ def test_pressure_solve_eigenmode_oracle():
     v = CellVector(mesh, np.column_stack([np.sin(2.0 * np.pi * x),
                                           np.zeros(mesh.ncells)]))
     eta, dt = 1.5, 0.01
-    pi, report = pressure_solve(v, eta, dt, tol=1e-12)
-    assert report.converged
+    pi = _pressure(v, eta, dt)
     shat = math.sin(2.0 * math.pi * mesh.hx) / mesh.hx
     expect = -np.cos(2.0 * np.pi * x) / (eta * dt * shat)
     np.testing.assert_allclose(pi.values, expect, rtol=1e-9, atol=1e-11)
@@ -125,15 +133,15 @@ def test_pressure_solve_eigenmode_oracle():
 
 def test_pressure_scales_inversely_with_eta(mesh16, rng):
     v = CellVector(mesh16, rng.standard_normal((mesh16.ncells, 2)))
-    pi1, _ = pressure_solve(v, 1.2, 0.01, tol=1e-12)
-    pi2, _ = pressure_solve(v, 2.4, 0.01, tol=1e-12)
+    pi1 = _pressure(v, 1.2, 0.01)
+    pi2 = _pressure(v, 2.4, 0.01)
     np.testing.assert_allclose(pi2.values, 0.5 * pi1.values,
                                rtol=1e-8, atol=1e-12)
 
 
 def test_pressure_is_kernel_orthogonal(mesh16, rng):
     v = CellVector(mesh16, rng.standard_normal((mesh16.ncells, 2)))
-    pi, _ = pressure_solve(v, 1.515, 0.005, tol=1e-12)
+    pi = _pressure(v, 1.515, 0.005)
     assert _mean(pi) == pytest.approx(0.0, abs=1e-12)
     comps = pressure_kernel_basis(mesh16).T @ pi.values
     np.testing.assert_allclose(comps, 0.0, atol=1e-11)
@@ -157,10 +165,13 @@ def test_pressure_solve_nonconvergence_raises(mesh16, rng, monkeypatch):
         pressure_solve(v, 1.5, 0.01)
 
 
-@pytest.mark.parametrize("nx,ny,ly", [(3, 5, 1.0), (8, 6, 1.0),
-                                      (33, 32, 1.0), (32, 16, 0.7)])
-def test_spectral_pressure_matches_deflated_cg(nx, ny, ly, rng):
-    mesh = Mesh(MeshSpec(nx, ny, ly=ly))
+# ids nx-ny-1.0 name the unit box height as the ids did when it was a
+# parameter, so a row keeps its id
+@pytest.mark.parametrize("nx,ny", [
+    pytest.param(nx, ny, id=f"{nx}-{ny}-1.0")
+    for nx, ny in [(3, 5), (8, 6), (33, 32), (32, 20)]])
+def test_spectral_pressure_matches_deflated_cg(nx, ny, rng):
+    mesh = Mesh(MeshSpec(nx, ny))
     v = CellVector(mesh, rng.standard_normal((mesh.ncells, 2)))
     eta, dt = 1.515, 0.003
     pi, report = pressure_solve(v, eta, dt)
@@ -201,7 +212,7 @@ def test_incomp_dt_matches_hypot_formula(rng, eps):
     # the per-face bound of each scheme written with np.hypot, faces as mean
     # of K and L: the limit scheme with grad pi, eta and BETA_2D, the
     # compressible one with grad p, eta/eps^2 and the density-ratio bound
-    mesh = Mesh(MeshSpec(33, 32, ly=0.7))
+    mesh = Mesh(MeshSpec(33, 20))
     u = rng.standard_normal((mesh.ncells, 2))
     if eps is None:
         cfg = IncompConfig(t_final=1.0, dt_max=1.0)
@@ -257,15 +268,15 @@ def test_incomp_step_energy_and_constraint(mesh16):
     assert state.step == 5
 
 
-@given(nx=st.integers(3, 12), ny=st.integers(3, 12), ly=st.floats(0.5, 2.0),
+@given(nx=st.integers(3, 12), ny=st.integers(3, 12),
        solenoidal=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_incomp_step_invariants_on_random_grids(nx, ny, ly, solenoidal, seed):
+def test_incomp_step_invariants_on_random_grids(nx, ny, solenoidal, seed):
     # seeded velocity, either the perpendicular central gradient of a random
     # stream function (discretely divergence-free) or plain random; the
     # energy inequality, the constraint and the mean-zero pressure must hold
     # on every step of every grid shape
-    mesh = Mesh(MeshSpec(nx, ny, ly=ly))
+    mesh = Mesh(MeshSpec(nx, ny))
     rng = np.random.default_rng(seed)
     if solenoidal:
         g = grad_values(mesh, rng.standard_normal(mesh.ncells))

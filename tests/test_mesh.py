@@ -14,10 +14,6 @@ def test_spec_rejects_degenerate_grids():
         MeshSpec(1, 4)
     with pytest.raises(ValueError):
         MeshSpec(4, 1)
-    with pytest.raises(ValueError):
-        MeshSpec(4, 4, lx=0.0)
-    with pytest.raises(ValueError):
-        MeshSpec(4, 4, ly=-1.0)
 
 
 def test_2x2_geometry_by_hand(mesh2):
@@ -26,12 +22,11 @@ def test_2x2_geometry_by_hand(mesh2):
     assert edge_normal_values(mesh2, np.zeros((4, 2))).shape == (2, 2, 2)
     assert mesh2.hx == 0.5 and mesh2.hy == 0.5
     assert mesh2.h == pytest.approx(math.hypot(0.5, 0.5), rel=1e-15)
-    assert mesh2.domain_vol == 1.0
     np.testing.assert_allclose(mesh2.cell_vol, 0.25)
 
 
 def test_row_major_cell_centers():
-    mesh = Mesh(MeshSpec(4, 2, lx=1.0, ly=1.0))
+    mesh = Mesh(MeshSpec(4, 2))
     # K = j*nx + i sits at ((i + 1/2) hx, (j + 1/2) hy)
     assert mesh.cell_x[0] == pytest.approx([0.125, 0.25])
     assert mesh.cell_x[3] == pytest.approx([0.875, 0.25])
