@@ -126,6 +126,9 @@ class CompState:
     # total energy under the (eps, gamma) of the step that made this state,
     # carried into the next step's energy check; None: computed there
     energy: float | None = None
+    # grad p(rho) under the gamma of the step that made this state, (ncells,
+    # 2), carried into the next step's time-step bound; None: computed there
+    gp: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if np.any(self.rho.values <= 0.0):
@@ -306,7 +309,9 @@ def comp_dt(state: CompState, config: CompConfig) -> float:
     at most 1, so the right-hand side is at most 1/3 and is passed as is."""
     mesh = state.mesh
     eta = eta_rule(state.rho, config.eta_margin)
-    gp = grad_values(mesh, eos_values(state.rho.values, config.gamma))
+    gp = state.gp
+    if gp is None:
+        gp = grad_values(mesh, eos_values(state.rho.values, config.gamma))
 
     rk = state.rho.values.reshape(mesh.ny, mesh.nx)
     rl = _neighbour(rk, rk)
@@ -495,7 +500,7 @@ def comp_step(state: CompState, config: CompConfig,
                     state.step, e_prev, energy)
 
     new_state = CompState(t=state.t + dt, rho=rho_new, u=u_new,
-                          step=state.step + 1, energy=energy)
+                          step=state.step + 1, energy=energy, gp=gp_new)
     diag = StepDiagnostics(
         step=new_state.step, t=new_state.t, dt=dt,
         picard_iters=report.sweeps,
@@ -543,5 +548,9 @@ def _march(step, config, ic, output_times) -> Trajectory:
 
 def run_comp(config: CompConfig, mesh: Mesh, ic: CompState,
              output_times=None) -> Trajectory:
-    """March the scheme to t_final, landing exactly on each output time."""
-    return _march(comp_step, config, ic, output_times)
+    """March the scheme to t_final, landing exactly on each output time.
+    The recorded states drop the carried pressure gradient, which only the
+    next step reads."""
+    traj = _march(comp_step, config, ic, output_times)
+    traj.states = [replace(state, gp=None) for state in traj.states]
+    return traj

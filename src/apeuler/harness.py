@@ -14,10 +14,13 @@ solution, 10's per-step residual) are computed there.
 
 A sweep cell is one run: (scheme, grid) for the limit scheme, (scheme,
 grid, eps) for the compressible one.  An experiment runs the union of its
-studies' cells once, then writes each study's bundle from the shared
-results.  A failure is caught in its cell, recorded in every bundle that
-needs the cell, and blocks no other cell or table.  All files land under
-the configured output directory with the config hash stamped in.
+studies' cells once.  Each cell writes its run files itself, once, into the
+first bundle that lists it and copies them into the others; then each
+study's tables and manifest are written from the shared results.  A
+failure, in the run or in writing its files, is caught in its cell,
+recorded in every bundle that needs the cell, and blocks no other cell or
+table.  All files land under the configured output directory with the
+config hash stamped in.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .fields import CellScalar, CellVector, cell_scalar
 from .incompressible import init_incomp, run_incomp
 from .mesh import Mesh, MeshSpec
 from .operators import div_values, lp_norm
-from .output import write_csv, write_field_csv
+from .output import atomic_write_text, write_csv, write_field_csv
 
 log = logging.getLogger(__name__)
 
@@ -94,18 +97,43 @@ def _job_label(key: tuple) -> str:
     return f"incomp k={key[1]}"
 
 
-def _run_cell(cfg: ExperimentConfig, key: tuple) -> Trajectory:
+def _run_cell(cfg: ExperimentConfig, key: tuple, outdirs: list[Path],
+              chash: str) -> tuple[Trajectory, list[Path]]:
+    """Run one cell, write its run files into the first of the bundle
+    directories ``outdirs`` and byte-copy them into the others; returns the
+    trajectory and the files' paths relative to a bundle directory."""
     log.info("running %s", _job_label(key))
     job = _comp_job if key[0] == "comp" else _incomp_job
-    return job(cfg, *key[1:])
+    traj = job(cfg, *key[1:])
+    first, *others = outdirs
+    if key[0] == "comp":
+        rundir = first / "runs" / f"comp_k{key[1]}_eps{eps_tag(key[2])}"
+        files = _write_comp_run(rundir, traj, key[2], cfg.gamma, chash)
+    else:
+        rundir = first / "runs" / f"incomp_k{key[1]}"
+        files = _write_incomp_run(rundir, traj, chash)
+    rel = [p.relative_to(first) for p in files]
+    for outdir in others:
+        for r in rel:
+            atomic_write_text(outdir / r,
+                              (first / r).read_text(encoding="utf-8"))
+    return traj, rel
 
 
 def _sweep(cfg: ExperimentConfig, cells) -> tuple[dict, dict]:
-    """Run each cell once; returns trajectories and failure messages keyed
-    by cell, a failure confined to its cell.  With one worker the cells run
-    in this process, else on ``cfg.workers`` forked processes, at most one
-    per cell.  A worker that dies fails every cell not finished by then."""
+    """Run each cell once and write its run files into every bundle of
+    ``cfg`` that lists it; returns (trajectory, run files relative to a
+    bundle) pairs and failure messages keyed by cell, a failure confined to
+    its cell.  A cell whose run or run-file write raises is a failed cell:
+    its files are left out of every manifest and the sweep goes on.  With
+    one worker the cells run in this process, else on ``cfg.workers`` forked
+    processes, at most one per cell, which write the files themselves and
+    send back only the pair.  A worker that dies fails every cell not
+    finished by then."""
     workers = min(cfg.workers, len(cells))
+    chash, studies = config_hash(cfg), _studies(cfg)
+    outdirs = {key: [outdir for outdir, listed, _ in studies if key in listed]
+               for key in cells}
     results, failures = {}, {}
     with contextlib.ExitStack() as stack:
         if workers > 1:
@@ -116,10 +144,12 @@ def _sweep(cfg: ExperimentConfig, cells) -> tuple[dict, dict]:
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")))
-            outcomes = {key: pool.submit(_run_cell, cfg, key).result
+            outcomes = {key: pool.submit(_run_cell, cfg, key, outdirs[key],
+                                         chash).result
                         for key in cells}
         else:
-            outcomes = {key: partial(_run_cell, cfg, key) for key in cells}
+            outcomes = {key: partial(_run_cell, cfg, key, outdirs[key], chash)
+                        for key in cells}
         for key, outcome in outcomes.items():
             try:
                 results[key] = outcome()
@@ -164,20 +194,6 @@ def _write_incomp_run(rundir: Path, traj: Trajectory, chash: str) -> list[Path]:
         rundir / "fields_final.csv", traj.mesh,
         {"v1": final.v.values[:, 0], "v2": final.v.values[:, 1],
          "pi": final.pi.values}, chash))
-    return files
-
-
-def _write_runs(outdir: Path, results: dict, gamma: float,
-                chash: str) -> list[Path]:
-    """Write every finished sweep cell into its own run directory."""
-    files: list[Path] = []
-    for key, traj in sorted(results.items(), key=lambda kv: _job_label(kv[0])):
-        if key[0] == "comp":
-            rundir = outdir / "runs" / f"comp_k{key[1]}_eps{eps_tag(key[2])}"
-            files += _write_comp_run(rundir, traj, key[2], gamma, chash)
-        else:
-            rundir = outdir / "runs" / f"incomp_k{key[1]}"
-            files += _write_incomp_run(rundir, traj, chash)
     return files
 
 
@@ -330,16 +346,33 @@ def _incomp_tables(cfg: ExperimentConfig, results: dict):
         results, grids[-1], cfg.eps, cfg.gamma)
 
 
+def _studies(cfg: ExperimentConfig) -> list[tuple]:
+    """(bundle directory, cells, table function) of each study the mode
+    selects; a convergence study writes both into ``comp`` and ``incomp``
+    subdirectories."""
+    base = Path(cfg.outdir)
+    comp = (_comp_cells(cfg), _comp_tables)
+    incomp = (_incomp_cells(cfg), _incomp_tables)
+    if cfg.mode == "compressible":
+        return [(base, *comp)]
+    if cfg.mode == "incompressible":
+        return [(base, *incomp)]
+    return [(base / "comp", *comp), (base / "incomp", *incomp)]
+
+
 def _write_bundle(cfg: ExperimentConfig, chash: str, outdir: Path, cells,
                   tables_fn, results: dict, failures: dict) -> OutputBundle:
-    """Write one study's runs, nonempty tables and manifest."""
+    """Write one study's nonempty tables and its manifest, which also lists
+    the run files the sweep wrote for the study's finished cells."""
     cells = dict.fromkeys(cells)
     own = {key: results[key] for key in cells if key in results}
     bundle = OutputBundle(outdir=outdir, config_hash=chash, failures=[
         failures[key] for key in cells if key in failures])
-    bundle.files += _write_runs(outdir, own, cfg.gamma, chash)
+    for key in sorted(own, key=_job_label):
+        bundle.files += [outdir / rel for rel in own[key][1]]
+    trajs = {key: traj for key, (traj, _) in own.items()}
     bundle.files += [write_csv(outdir / "tables" / name, columns, rows, chash)
-                     for name, (columns, rows) in tables_fn(cfg, own) if rows]
+                     for name, (columns, rows) in tables_fn(cfg, trajs) if rows]
     rel = sorted(str(p.relative_to(outdir)) for p in bundle.files)
     bundle.files.append(write_csv(outdir / "manifest.csv", ["file"],
                                   [(r,) for r in rel], chash))
@@ -348,23 +381,15 @@ def _write_bundle(cfg: ExperimentConfig, chash: str, outdir: Path, cells,
 
 def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     """Sweep the union of the cells of the studies the mode selects once,
-    then write each study's bundle; a convergence study writes both into
-    ``comp`` and ``incomp`` subdirectories, and a cell they share runs once
-    with its run files in both.  Every file carries ``config_hash(cfg)``."""
-    base = Path(cfg.outdir)
-    comp = (_comp_cells(cfg), _comp_tables)
-    incomp = (_incomp_cells(cfg), _incomp_tables)
-    if cfg.mode == "compressible":
-        studies = [(base, *comp)]
-    elif cfg.mode == "incompressible":
-        studies = [(base, *incomp)]
-    else:
-        studies = [(base / "comp", *comp), (base / "incomp", *incomp)]
+    then write each study's tables and manifest; a cell two studies share
+    runs once with its run files in both.  Every file carries
+    ``config_hash(cfg)``."""
+    studies = _studies(cfg)
     results, failures = _sweep(cfg, dict.fromkeys(
         key for _, cells, _ in studies for key in cells))
     chash = config_hash(cfg)
     bundles = [_write_bundle(cfg, chash, *study, results, failures)
                for study in studies]
-    return OutputBundle(outdir=base, config_hash=chash,
+    return OutputBundle(outdir=Path(cfg.outdir), config_hash=chash,
                         files=[p for b in bundles for p in b.files],
                         failures=[f for b in bundles for f in b.failures])

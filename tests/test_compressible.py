@@ -416,6 +416,26 @@ def test_comp_step_carries_its_energy(mesh16):
     assert not d_zero.energy_ok
 
 
+def test_comp_step_carries_its_pressure_gradient(mesh16):
+    # the next step's time-step bound reads the carried grad p(rho^{n+1}),
+    # which is the gradient a state built without it computes, bit for bit
+    cfg = CompConfig(eps=1e-2, t_final=0.02)
+    state = _well_prepared_state(mesh16, 1e-2)
+    assert state.gp is None
+    s1, _ = comp_step(state, cfg)
+    np.testing.assert_array_equal(
+        s1.gp, grad_values(mesh16, eos_values(s1.rho.values, cfg.gamma)))
+    fresh = replace(s1, gp=None)
+    assert comp_dt(s1, cfg) == comp_dt(fresh, cfg)
+    s2, d2 = comp_step(s1, cfg)
+    s2_fresh, d2_fresh = comp_step(fresh, cfg)
+    assert d2 == d2_fresh
+    np.testing.assert_array_equal(s2.u.values, s2_fresh.u.values)
+    np.testing.assert_array_equal(s2.gp, s2_fresh.gp)
+    # the bound reads the carried value: a steeper gradient, a smaller dt
+    assert comp_dt(replace(s1, gp=1e6 * s1.gp), cfg) < comp_dt(s1, cfg)
+
+
 def test_default_output_times():
     np.testing.assert_allclose(default_output_times(1.0, 5),
                                [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -428,6 +448,8 @@ def test_run_comp_lands_on_output_times(mesh16):
     times = np.array([0.0, 0.002, 0.004])
     traj = run_comp(cfg, mesh16, state, output_times=times)
     np.testing.assert_array_equal(traj.times, times)
+    # the carried pressure gradient is not kept in the recorded states
+    assert all(s.gp is None for s in traj.states)
     assert [s.t for s in traj.states] == list(times)
     assert len(traj.diagnostics) >= 2
     steps = [d.step for d in traj.diagnostics]

@@ -110,9 +110,10 @@ def test_tables_are_the_row_functions_written_out(tmp_path, monkeypatch):
     cfg = _cfg(TINY, tmp_path / "t", extra="mode = convergence_study\n")
     bundle = run_experiment(cfg)
     assert bundle.ok
+    trajs = {key: traj for key, (traj, _) in swept["results"].items()}
     for sub, tables_fn in (("comp", harness._comp_tables),
                            ("incomp", harness._incomp_tables)):
-        tables = dict(tables_fn(cfg, swept["results"]))
+        tables = dict(tables_fn(cfg, trajs))
         tabledir = bundle.outdir / sub / "tables"
         assert sorted(p.name for p in tabledir.iterdir()) == sorted(tables)
         for name, (columns, rows) in tables.items():
@@ -158,11 +159,33 @@ def test_convergence_study_runs_each_cell_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "_comp_job", comp)
     monkeypatch.setattr(harness, "_incomp_job", incomp)
+    # ... and renders its run files once, the shared ones copied byte for
+    # byte into the second bundle
+    fields = Counter()
+    real_fields = harness.write_field_csv
+
+    def write_fields(path, *args):
+        fields[path.parent.name] += 1
+        return real_fields(path, *args)
+
+    monkeypatch.setattr(harness, "write_field_csv", write_fields)
     bundle = run_experiment(_cfg(SMALLEST, tmp_path / "n",
                                  extra="mode = convergence_study\n"))
     assert bundle.ok
     assert calls == {("incomp", 4): 1, ("incomp", 8): 1,
                      ("comp", 4, 1.0): 1, ("comp", 8, 1.0): 1}
+    assert fields == {"incomp_k4": 1, "incomp_k8": 1, "comp_k4_eps1": 1,
+                      "comp_k8_eps1": 1}
+    comp_runs, incomp_runs = (tmp_path / "n" / sub / "runs"
+                              for sub in ("comp", "incomp"))
+    shared = sorted(p.name for p in incomp_runs.iterdir())
+    assert shared == ["comp_k4_eps1", "incomp_k4", "incomp_k8"]
+    for name in shared:
+        files = sorted(p.name for p in (comp_runs / name).iterdir())
+        assert files == sorted(p.name for p in (incomp_runs / name).iterdir())
+        for f in files:
+            assert ((comp_runs / name / f).read_bytes()
+                    == (incomp_runs / name / f).read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +263,48 @@ def test_sweep_cell_failure_is_isolated(tmp_path, monkeypatch, mode, subdirs,
         cross = (bundle.outdir / "incomp" / "tables"
                  / "cross_scheme_rel_energy.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in cross[2:]] == ["1"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_file_write_failure_fails_its_cell_in_every_bundle(
+        tmp_path, monkeypatch, workers):
+    # the shared cell comp k=8 eps=0.01 fails while writing its run files,
+    # after its diagnostics; both bundles report it and list none of its
+    # files, and every other cell, table and manifest is still written
+    real = harness.write_field_csv
+
+    def failing(path, *args):
+        if path.parent.name == "comp_k8_eps0.01":
+            raise OSError("synthetic write failure")
+        return real(path, *args)
+
+    monkeypatch.setattr(harness, "write_field_csv", failing)
+    bundle = run_experiment(_cfg(TINY, tmp_path / "wf",
+                                 extra=f"mode = convergence_study\n"
+                                       f"workers = {workers}\n"))
+    assert bundle.failures == ["comp k=8 eps=0.01: synthetic write failure"] * 2
+
+    comp_names = ("diagnostics.csv", "fields_final.csv",
+                  "density_deviation.csv")
+    incomp_names = ("diagnostics.csv", "fields_final.csv")
+    runs = {"comp": [f"comp_k{g}_eps{tag}" for g in (4, 8, 16)
+                     for tag in ("1", "0.01")],
+            "incomp": ["comp_k8_eps1", "comp_k8_eps0.01"]}
+    for sub in ("comp", "incomp"):
+        out = bundle.outdir / sub
+        entries = set(_manifest_entries(out))
+        assert all((out / e).is_file() for e in entries)
+        expected = {f"runs/incomp_k{g}/{n}" for g in (4, 8, 16)
+                    for n in incomp_names}
+        expected |= {f"runs/{run}/{n}" for run in runs[sub]
+                     if run != "comp_k8_eps0.01" for n in comp_names}
+        assert {e for e in entries if e.startswith("runs/")} == expected
+    assert (bundle.outdir / "comp" / "tables" / "errors_comp_eps1.csv").exists()
+    assert not (bundle.outdir / "comp" / "tables"
+                / "errors_comp_eps0.01.csv").exists()
+    cross = (bundle.outdir / "incomp" / "tables"
+             / "cross_scheme_rel_energy.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in cross[2:]] == ["1"]
 
 
 def test_dead_worker_fails_its_cells_and_leaves_no_process(tmp_path,
