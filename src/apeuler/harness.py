@@ -18,15 +18,16 @@ studies' cells once.  Each cell writes its run files itself, once, into the
 first bundle that lists it and copies them into the others; then each
 study's tables and manifest are written from the shared results.  A
 failure, in the run or in writing its files, is caught in its cell,
-recorded in every bundle that needs the cell, and blocks no other cell or
-table.  All files land under the configured output directory with the
-config hash stamped in.
+recorded in every bundle that needs the cell, leaves no run files of the
+cell in any of them, and blocks no other cell or table.  All files land
+under the configured output directory with the config hash stamped in.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
+import shutil
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -97,26 +98,44 @@ def _job_label(key: tuple) -> str:
     return f"incomp k={key[1]}"
 
 
+def _clear(rundirs: list[Path]) -> None:
+    for rundir in rundirs:
+        if rundir.exists():
+            shutil.rmtree(rundir)
+
+
 def _run_cell(cfg: ExperimentConfig, key: tuple, outdirs: list[Path],
               chash: str) -> tuple[Trajectory, list[Path]]:
     """Run one cell, write its run files into the first of the bundle
     directories ``outdirs`` and byte-copy them into the others; returns the
-    trajectory and the files' paths relative to a bundle directory."""
+    trajectory and the files' paths relative to a bundle directory.
+
+    The cell's run directory is removed from every bundle before the run
+    and again when a write fails, so a failed cell leaves no run files:
+    neither those written before the failure nor those of an earlier run
+    into the same directories."""
     log.info("running %s", _job_label(key))
-    job = _comp_job if key[0] == "comp" else _incomp_job
+    if key[0] == "comp":
+        job, name = _comp_job, f"comp_k{key[1]}_eps{eps_tag(key[2])}"
+    else:
+        job, name = _incomp_job, f"incomp_k{key[1]}"
+    rundirs = [outdir / "runs" / name for outdir in outdirs]
+    _clear(rundirs)
     traj = job(cfg, *key[1:])
     first, *others = outdirs
-    if key[0] == "comp":
-        rundir = first / "runs" / f"comp_k{key[1]}_eps{eps_tag(key[2])}"
-        files = _write_comp_run(rundir, traj, key[2], cfg.gamma, chash)
-    else:
-        rundir = first / "runs" / f"incomp_k{key[1]}"
-        files = _write_incomp_run(rundir, traj, chash)
-    rel = [p.relative_to(first) for p in files]
-    for outdir in others:
-        for r in rel:
-            atomic_write_text(outdir / r,
-                              (first / r).read_text(encoding="utf-8"))
+    try:
+        if key[0] == "comp":
+            files = _write_comp_run(rundirs[0], traj, key[2], cfg.gamma, chash)
+        else:
+            files = _write_incomp_run(rundirs[0], traj, chash)
+        rel = [p.relative_to(first) for p in files]
+        for outdir in others:
+            for r in rel:
+                atomic_write_text(outdir / r,
+                                  (first / r).read_text(encoding="utf-8"))
+    except BaseException:
+        _clear(rundirs)
+        raise
     return traj, rel
 
 
@@ -125,11 +144,11 @@ def _sweep(cfg: ExperimentConfig, cells) -> tuple[dict, dict]:
     ``cfg`` that lists it; returns (trajectory, run files relative to a
     bundle) pairs and failure messages keyed by cell, a failure confined to
     its cell.  A cell whose run or run-file write raises is a failed cell:
-    its files are left out of every manifest and the sweep goes on.  With
-    one worker the cells run in this process, else on ``cfg.workers`` forked
-    processes, at most one per cell, which write the files themselves and
-    send back only the pair.  A worker that dies fails every cell not
-    finished by then."""
+    its run directories are removed from every bundle, so its files are in
+    no manifest and on no disk, and the sweep goes on.  With one worker the
+    cells run in this process, else on ``cfg.workers`` forked processes, at
+    most one per cell, which write the files themselves and send back only
+    the pair.  A worker that dies fails every cell not finished by then."""
     workers = min(cfg.workers, len(cells))
     chash, studies = config_hash(cfg), _studies(cfg)
     outdirs = {key: [outdir for outdir, listed, _ in studies if key in listed]

@@ -35,7 +35,6 @@ from .mesh import Mesh
 from .operators import (
     _face_divergence,
     _laplace_symbol,
-    div_values,
     edge_normal_values,
     grad_values,
     laplace_values,
@@ -142,11 +141,13 @@ def pressure_kernel_basis(mesh: Mesh) -> np.ndarray:
     return basis / math.sqrt(mesh.ncells)
 
 
-def pressure_solve(v_n: CellVector, eta: float,
+def pressure_solve(mesh: Mesh, un: np.ndarray, eta: float,
                    dt: float) -> tuple[CellScalar, SolveReport]:
     """Solve eta dt (div grad) pi = div v^n directly in Fourier space.
 
-    The composed Laplacian is translation invariant on the uniform periodic
+    ``un`` is the face-averaged normal velocity of v^n
+    (``edge_normal_values``), (2, ny, nx); it is left unchanged.  The
+    composed Laplacian is translation invariant on the uniform periodic
     grid, so ``rfft2`` diagonalizes it; dividing by its symbol inverts it
     on every mode and zero-symbol (kernel) modes map to zero, so the
     returned pressure has zero mean and zero checkerboard components.  The
@@ -157,11 +158,10 @@ def pressure_solve(v_n: CellVector, eta: float,
     """
     if not (eta > 0.0 and dt > 0.0):
         raise ValueError("eta and dt must be positive")
-    mesh = v_n.mesh
     coeff = eta * dt
     shape = (mesh.ny, mesh.nx)
 
-    b = -div_values(mesh, v_n.values)
+    b = -_face_divergence(mesh, un.copy())
     s = coeff * _laplace_symbol(mesh)
     spec = np.fft.rfft2(b.reshape(shape))
     spec[s == 0.0] = 0.0
@@ -199,10 +199,10 @@ def incomp_step(state: IncompState, config: IncompConfig,
     ke_prev = state.ke
     if ke_prev is None:
         ke_prev = kinetic_energy(state.v)
-    pi_new, report = pressure_solve(state.v, config.eta, dt)
+    un = edge_normal_values(mesh, state.v.values)
+    pi_new, report = pressure_solve(mesh, un, config.eta, dt)
 
     gpi = grad_values(mesh, pi_new.values)
-    un = edge_normal_values(mesh, state.v.values)
     dn = edge_normal_values(mesh, (config.eta * dt) * gpi)
     split = split_advective_velocity(mesh, un, dn)
 

@@ -20,6 +20,7 @@ iterates every step, so semiconvergence against kernel drift never occurs.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,8 +51,14 @@ class SolveReport:
     deflated_norm: float = 0.0
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of a flat vector: ``np.linalg.norm``'s arithmetic, without
+    its dispatch."""
+    return math.sqrt(np.dot(v, v))
+
+
 def _true_residual(A, b, x) -> float:
-    return float(np.linalg.norm(b - A(x)))
+    return _norm(b - A(x))
 
 
 def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
@@ -69,7 +76,7 @@ def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
     non-convergence is flagged on the report and logged, never silent.
     """
     b = np.asarray(b, dtype=np.float64)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, True)
     target = tol * bnorm
@@ -87,7 +94,10 @@ def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
         if rho == 0.0:
             break  # breakdown; report what we have
         beta = (rho / rho_prev) * (alpha / omega)
-        p = r + beta * (p - omega * v)
+        # p = r + beta (p - omega v), in place in the same order
+        p -= omega * v
+        p *= beta
+        p += r
         p_hat = p if M is None else M(p)
         v = A(p_hat)
         denom = float(np.dot(r_hat, v))
@@ -96,13 +106,13 @@ def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
         alpha = rho / denom
         # add alpha M p now, so that M p is freed before M s is built; the
         # two updates keep the order of x + alpha M p + omega M s
-        x = x + alpha * p_hat
+        x += alpha * p_hat
         del p_hat
         s = r - alpha * v
         iterations += 1
-        if np.linalg.norm(s) <= target:
+        if _norm(s) <= target:
             r = b - A(x)
-            residual = float(np.linalg.norm(r))
+            residual = _norm(r)
             if residual <= target:
                 return x, SolveReport(iterations, residual, True)
             rho_prev = rho
@@ -113,12 +123,12 @@ def solve_transport(A: Operator, b: np.ndarray, tol: float = 1e-10,
         if tt == 0.0:
             break
         omega = float(np.dot(t, s)) / tt
-        x = x + omega * s_hat
+        x += omega * s_hat
         r = s - omega * t
         rho_prev = rho
         if omega == 0.0:
             break
-        if np.linalg.norm(r) <= target:
+        if _norm(r) <= target:
             residual = _true_residual(A, b, x)
             if residual <= target:
                 return x, SolveReport(iterations, residual, True)
@@ -158,8 +168,8 @@ def solve_deflated_spd(A: Operator, b: np.ndarray,
 
     b_defl = b.copy()
     _project_out(basis, b_defl)
-    removed = float(np.linalg.norm(b - b_defl))
-    bnorm = float(np.linalg.norm(b_defl))
+    removed = _norm(b - b_defl)
+    bnorm = _norm(b_defl)
     if bnorm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, True, removed)
     target = tol * bnorm
@@ -173,7 +183,7 @@ def solve_deflated_spd(A: Operator, b: np.ndarray,
     iterations = 0
 
     while iterations < max_iter:
-        if np.linalg.norm(r) <= target:
+        if _norm(r) <= target:
             residual = _true_residual(A, b_defl, x)
             if residual <= target:
                 return x, SolveReport(iterations, residual, True, removed)

@@ -250,9 +250,9 @@ class EdgeSplit:
         shape = (2, self.mesh.ny, self.mesh.nx)
         if self.wplus.shape != shape or self.wminus.shape != shape:
             raise ValueError(f"split parts must be per-face {shape} arrays")
-        if np.any(self.wplus < 0.0):
+        if (self.wplus < 0.0).any():
             raise ValueError("positive split part has negative entries")
-        if np.any(self.wminus > 0.0):
+        if (self.wminus > 0.0).any():
             raise ValueError("negative split part has positive entries")
 
 

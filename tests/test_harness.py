@@ -269,8 +269,9 @@ def test_sweep_cell_failure_is_isolated(tmp_path, monkeypatch, mode, subdirs,
 def test_run_file_write_failure_fails_its_cell_in_every_bundle(
         tmp_path, monkeypatch, workers):
     # the shared cell comp k=8 eps=0.01 fails while writing its run files,
-    # after its diagnostics; both bundles report it and list none of its
-    # files, and every other cell, table and manifest is still written
+    # after its diagnostics; both bundles report it and hold and list none
+    # of its files, and every other cell, table and manifest is still
+    # written
     real = harness.write_field_csv
 
     def failing(path, *args):
@@ -299,12 +300,43 @@ def test_run_file_write_failure_fails_its_cell_in_every_bundle(
         expected |= {f"runs/{run}/{n}" for run in runs[sub]
                      if run != "comp_k8_eps0.01" for n in comp_names}
         assert {e for e in entries if e.startswith("runs/")} == expected
+        assert not (out / "runs" / "comp_k8_eps0.01").exists()
     assert (bundle.outdir / "comp" / "tables" / "errors_comp_eps1.csv").exists()
     assert not (bundle.outdir / "comp" / "tables"
                 / "errors_comp_eps0.01.csv").exists()
     cross = (bundle.outdir / "incomp" / "tables"
              / "cross_scheme_rel_energy.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in cross[2:]] == ["1"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rerun_removes_run_files_of_a_cell_that_now_fails(
+        tmp_path, monkeypatch, workers):
+    # a first run writes the shared cell comp k=8 eps=0.01 into both
+    # bundles; a rerun into the same directory in which that cell fails
+    # leaves no run files of it in either, and rewrites the others
+    cfg = _cfg(TINY, tmp_path / "re",
+               extra=f"mode = convergence_study\nworkers = {workers}\n")
+    first = run_experiment(cfg)
+    assert first.ok
+    for sub in ("comp", "incomp"):
+        assert (first.outdir / sub / "runs" / "comp_k8_eps0.01"
+                / "diagnostics.csv").is_file()
+
+    real = harness._comp_job
+
+    def flaky(cfg, grid, eps):
+        if (grid, eps) == (8, 0.01):
+            raise RuntimeError("synthetic cell failure")
+        return real(cfg, grid, eps)
+
+    monkeypatch.setattr(harness, "_comp_job", flaky)
+    bundle = run_experiment(cfg)
+    assert bundle.failures == ["comp k=8 eps=0.01: synthetic cell failure"] * 2
+    for sub in ("comp", "incomp"):
+        runs = bundle.outdir / sub / "runs"
+        assert not (runs / "comp_k8_eps0.01").exists()
+        assert (runs / "comp_k8_eps1" / "diagnostics.csv").is_file()
 
 
 def test_dead_worker_fails_its_cells_and_leaves_no_process(tmp_path,
