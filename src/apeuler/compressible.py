@@ -54,7 +54,6 @@ __all__ = [
     "Trajectory",
     "eos_values",
     "psi_values",
-    "pi_gamma_values",
     "init_comp",
     "stabilization",
     "eta_rule",
@@ -140,14 +139,15 @@ class CompState:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Per-step scalars; the CSV columns plus in-memory extras."""
+    """Per-step scalars: the fields without a default are the columns of a
+    run's ``diagnostics.csv``, in order; the rest are in-memory extras."""
 
     step: int
     t: float
     dt: float
     picard_iters: int
     energy: float
-    entropy_pi: float
+    entropy: float
     mass: float
     rho_min: float
     rho_max: float
@@ -196,21 +196,15 @@ def psi_values(rho: np.ndarray, gamma: float) -> np.ndarray:
     return rho ** gamma / (gamma - 1.0)
 
 
-def pi_gamma_values(rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Relative internal energy: psi minus its affine part at rho = 1."""
-    _check_positive(rho)
-    # psi(rho) - psi(1) - psi'(1)(rho - 1) with psi'(1) = gamma/(gamma-1)
-    return (rho ** gamma - 1.0 - gamma * (rho - 1.0)) / (gamma - 1.0)
-
-
 def _energies(vol: np.ndarray, rho: np.ndarray, u: np.ndarray, p: np.ndarray,
               eps: float, gamma: float) -> tuple[float, float]:
     """(total energy, entropy variant) of a positive density ``rho`` with
     p = rho^gamma and velocity ``u`` (ncells, 2): the kinetic-energy density
-    is formed once for both, and psi and Pi_gamma take the arithmetic of
-    ``psi_values`` and ``pi_gamma_values`` on p."""
+    is formed once for both, and psi takes the arithmetic of ``psi_values``
+    on p."""
     ke = 0.5 * rho * np.einsum("kc,kc->k", u, u)
     energy = float(np.dot(vol, ke + p / (gamma - 1.0) / eps**2))
+    # Pi_gamma = psi(rho) - psi(1) - psi'(1)(rho - 1), psi'(1) = gamma/(gamma-1)
     pi = (p - 1.0 - gamma * (rho - 1.0)) / (gamma - 1.0)
     return energy, float(np.dot(vol, ke + pi / eps**2))
 
@@ -526,7 +520,7 @@ def comp_step(state: CompState, config: CompConfig,
     diag = StepDiagnostics(
         step=new_state.step, t=new_state.t, dt=dt,
         picard_iters=report.sweeps,
-        energy=energy, entropy_pi=entropy,
+        energy=energy, entropy=entropy,
         mass=float(np.dot(mesh.cell_vol, rho_new.values)),
         rho_min=float(rho_new.values.min()),
         rho_max=float(rho_new.values.max()),

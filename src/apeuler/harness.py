@@ -21,6 +21,14 @@ failure, in the run or in writing its files, is caught in its cell,
 recorded in every bundle that needs the cell, leaves no run files of the
 cell in any of them, and blocks no other cell or table.  All files land
 under the configured output directory with the config hash stamped in.
+
+A cell's run files go to ``runs/<scheme>_k<grid>[_eps<tag>]``:
+``diagnostics.csv``, whose columns are the fields without a default of the
+scheme's step-diagnostics dataclass, in declaration order, one row per
+step; ``fields_final.csv``, the final state per cell (rho, m1, m2, u1, u2
+or v1, v2, pi after i, j, x, y); and, compressible runs only,
+``density_deviation.csv``.  Only the job and the run-writer branch on the
+scheme.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ from __future__ import annotations
 import contextlib
 import logging
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +56,12 @@ from .analysis import (
     restrict_values,
 )
 from .cases import comp_initial_data, incomp_initial_data
-from .compressible import Trajectory, default_output_times, init_comp, run_comp
+from .compressible import (StepDiagnostics, Trajectory, default_output_times,
+                           init_comp, run_comp)
 from .config import (ExperimentConfig, comp_config, config_hash, eps_tag,
                      incomp_config)
 from .fields import CellScalar, CellVector, cell_scalar
-from .incompressible import init_incomp, run_incomp
+from .incompressible import IncompStepDiagnostics, init_incomp, run_incomp
 from .mesh import Mesh, MeshSpec
 from .operators import div_values, lp_norm
 from .output import atomic_write_text, write_csv, write_field_csv
@@ -77,25 +87,27 @@ class OutputBundle:
         return not self.failures
 
 
-def _comp_job(cfg: ExperimentConfig, grid: int, eps: float):
+def _job(cfg: ExperimentConfig, key: tuple) -> Trajectory:
+    """Run the sweep cell ``key`` from the diagonal-shear data."""
+    scheme, grid, *eps = key
     mesh = Mesh(MeshSpec(nx=grid, ny=grid))
-    rho0, u0 = comp_initial_data(eps)
-    ic = init_comp(rho0, u0, mesh, eps=eps, gamma=cfg.gamma)
-    return run_comp(comp_config(cfg, eps), mesh, ic,
-                    default_output_times(cfg.t_final, cfg.output_count))
-
-
-def _incomp_job(cfg: ExperimentConfig, grid: int):
-    mesh = Mesh(MeshSpec(nx=grid, ny=grid))
+    times = default_output_times(cfg.t_final, cfg.output_count)
+    if scheme == "comp":
+        rho0, u0 = comp_initial_data(eps[0])
+        ic = init_comp(rho0, u0, mesh, eps=eps[0], gamma=cfg.gamma)
+        return run_comp(comp_config(cfg, eps[0]), mesh, ic, times)
     ic = init_incomp(incomp_initial_data(), mesh)
-    return run_incomp(incomp_config(cfg), mesh, ic,
-                      default_output_times(cfg.t_final, cfg.output_count))
+    return run_incomp(incomp_config(cfg), mesh, ic, times)
 
 
-def _job_label(key: tuple) -> str:
-    if key[0] == "comp":
-        return f"comp k={key[1]} eps={eps_tag(key[2])}"
-    return f"incomp k={key[1]}"
+def _names(key: tuple) -> tuple[str, str]:
+    """(label, run directory name) of the sweep cell ``key``, as in
+    ``comp k=8 eps=0.01`` and ``comp_k8_eps0.01``, or ``incomp k=8`` and
+    ``incomp_k8``."""
+    scheme, grid, *eps = key
+    params = [("k", str(grid))] + [("eps", eps_tag(e)) for e in eps]
+    return (" ".join([scheme] + [f"{n}={v}" for n, v in params]),
+            "_".join([scheme] + [n + v for n, v in params]))
 
 
 def _clear(rundirs: list[Path]) -> None:
@@ -114,20 +126,14 @@ def _run_cell(cfg: ExperimentConfig, key: tuple, outdirs: list[Path],
     and again when a write fails, so a failed cell leaves no run files:
     neither those written before the failure nor those of an earlier run
     into the same directories."""
-    log.info("running %s", _job_label(key))
-    if key[0] == "comp":
-        job, name = _comp_job, f"comp_k{key[1]}_eps{eps_tag(key[2])}"
-    else:
-        job, name = _incomp_job, f"incomp_k{key[1]}"
+    label, name = _names(key)
+    log.info("running %s", label)
     rundirs = [outdir / "runs" / name for outdir in outdirs]
     _clear(rundirs)
-    traj = job(cfg, *key[1:])
+    traj = _job(cfg, key)
     first, *others = outdirs
     try:
-        if key[0] == "comp":
-            files = _write_comp_run(rundirs[0], traj, key[2], cfg.gamma, chash)
-        else:
-            files = _write_incomp_run(rundirs[0], traj, chash)
+        files = _write_run(rundirs[0], key, traj, cfg.gamma, chash)
         rel = [p.relative_to(first) for p in files]
         for outdir in others:
             for r in rel:
@@ -173,46 +179,37 @@ def _sweep(cfg: ExperimentConfig, cells) -> tuple[dict, dict]:
             try:
                 results[key] = outcome()
             except Exception as exc:  # cell isolation is the whole point
-                log.warning("sweep cell failed: %s: %s", _job_label(key), exc)
-                failures[key] = f"{_job_label(key)}: {exc}"
+                label = _names(key)[0]
+                log.warning("sweep cell failed: %s: %s", label, exc)
+                failures[key] = f"{label}: {exc}"
     return results, failures
 
 
-def _write_comp_run(rundir: Path, traj: Trajectory, eps: float, gamma: float,
-                    chash: str) -> list[Path]:
-    cols = ["step", "t", "dt", "picard_iters", "energy", "entropy",
-            "mass", "rho_min", "rho_max", "stab_dissipation", "energy_ok"]
-    rows = [(d.step, d.t, d.dt, d.picard_iters, d.energy, d.entropy_pi,
-             d.mass, d.rho_min, d.rho_max, d.stab_dissipation,
-             int(d.energy_ok)) for d in traj.diagnostics]
-    files = [write_csv(rundir / "diagnostics.csv", cols, rows, chash)]
-
+def _write_run(rundir: Path, key: tuple, traj: Trajectory, gamma: float,
+               chash: str) -> list[Path]:
+    """Write the run files of the sweep cell ``key`` into ``rundir``: the
+    step diagnostics, the final fields and, for a compressible run, the
+    density-deviation series."""
     final = traj.states[-1]
-    m = final.rho.values[:, None] * final.u.values
-    files.append(write_field_csv(
-        rundir / "fields_final.csv", traj.mesh,
-        {"rho": final.rho.values, "m1": m[:, 0], "m2": m[:, 1],
-         "u1": final.u.values[:, 0], "u2": final.u.values[:, 1]}, chash))
-
-    dev = density_deviation(traj, eps, gamma)
-    files.append(write_csv(rundir / "density_deviation.csv",
-                           ["t", "lgamma_dist"],
-                           zip(dev.times, dev.values), chash))
-    return files
-
-
-def _write_incomp_run(rundir: Path, traj: Trajectory, chash: str) -> list[Path]:
-    cols = ["step", "t", "dt", "kinetic_energy", "div_residual",
-            "pressure_iters", "energy_ok"]
-    rows = [(d.step, d.t, d.dt, d.kinetic_energy, d.div_residual,
-             d.pressure_iters, int(d.energy_ok)) for d in traj.diagnostics]
-    files = [write_csv(rundir / "diagnostics.csv", cols, rows, chash)]
-
-    final = traj.states[-1]
-    files.append(write_field_csv(
-        rundir / "fields_final.csv", traj.mesh,
-        {"v1": final.v.values[:, 0], "v2": final.v.values[:, 1],
-         "pi": final.pi.values}, chash))
+    if key[0] == "comp":
+        schema = StepDiagnostics
+        m = final.rho.values[:, None] * final.u.values
+        values = {"rho": final.rho.values, "m1": m[:, 0], "m2": m[:, 1],
+                  "u1": final.u.values[:, 0], "u2": final.u.values[:, 1]}
+    else:
+        schema = IncompStepDiagnostics
+        values = {"v1": final.v.values[:, 0], "v2": final.v.values[:, 1],
+                  "pi": final.pi.values}
+    columns = [f.name for f in fields(schema) if f.default is MISSING]
+    files = [write_csv(rundir / "diagnostics.csv", columns,
+                       map(attrgetter(*columns), traj.diagnostics), chash),
+             write_field_csv(rundir / "fields_final.csv", traj.mesh, values,
+                             chash)]
+    if key[0] == "comp":
+        dev = density_deviation(traj, key[2], gamma)
+        files.append(write_csv(rundir / "density_deviation.csv",
+                               ["t", "lgamma_dist"],
+                               zip(dev.times, dev.values), chash))
     return files
 
 
@@ -239,8 +236,7 @@ def velocity_gap_rows(results: dict, grid: int, eps_list):
         for eps, comp in runs]
 
 
-def error_rows(results: dict, grids, ref_grid: int, time: float,
-               eps: float | None = None):
+def error_rows(results: dict, grids, ref_grid: int, eps: float | None = None):
     """Cumulative refinement-sequence errors of the limit runs, or of the
     compressible runs at ``eps``: row k compares the sequence up to grid k
     against the full one ending at ``ref_grid``; no rows unless all finished.
@@ -253,7 +249,8 @@ def error_rows(results: dict, grids, ref_grid: int, time: float,
     if any(run is None for run in runs):
         return columns, []
     snapshot = incomp_snapshot if eps is None else comp_snapshot
-    ref_ens = make_ensemble([snapshot(run.states[-1]) for run in runs], time)
+    ref_ens = make_ensemble([snapshot(run.states[-1]) for run in runs],
+                            runs[-1].states[-1].t)
     rows = []
     for j, g in enumerate(grids):
         ens = Ensemble(ref_ens.members[:j + 1], ref_ens.time)
@@ -344,7 +341,7 @@ def _comp_tables(cfg: ExperimentConfig, results: dict):
         yield f"velocity_gap_k{g}.csv", velocity_gap_rows(results, g, eps_list)
     for eps in eps_list:
         yield (f"errors_comp_eps{eps_tag(eps)}.csv",
-               error_rows(results, cfg.grids, cfg.ref_grid, cfg.t_final, eps))
+               error_rows(results, cfg.grids, cfg.ref_grid, eps))
     yield "div_residual.csv", div_residual_rows(results, all_grids[-1], eps_list)
 
 
@@ -358,7 +355,7 @@ def _incomp_cells(cfg: ExperimentConfig) -> list[tuple]:
 def _incomp_tables(cfg: ExperimentConfig, results: dict):
     """The limit study's tables as (file name, (columns, rows))."""
     grids, ref = cfg.grids, cfg.ref_grid
-    yield "errors_incomp.csv", error_rows(results, grids, ref, cfg.t_final)
+    yield "errors_incomp.csv", error_rows(results, grids, ref)
     yield "rel_energy_refine.csv", rel_energy_rows(results, grids, ref)
     yield "eoc.csv", eoc_rows(results, grids, ref)
     yield "cross_scheme_rel_energy.csv", cross_energy_rows(
@@ -387,7 +384,7 @@ def _write_bundle(cfg: ExperimentConfig, chash: str, outdir: Path, cells,
     own = {key: results[key] for key in cells if key in results}
     bundle = OutputBundle(outdir=outdir, config_hash=chash, failures=[
         failures[key] for key in cells if key in failures])
-    for key in sorted(own, key=_job_label):
+    for key in sorted(own, key=lambda k: _names(k)[0]):
         bundle.files += [outdir / rel for rel in own[key][1]]
     trajs = {key: traj for key, (traj, _) in own.items()}
     bundle.files += [write_csv(outdir / "tables" / name, columns, rows, chash)

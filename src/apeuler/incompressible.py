@@ -95,7 +95,8 @@ class IncompState:
 
 @dataclass(frozen=True)
 class IncompStepDiagnostics:
-    """Per-step scalars; CSV columns plus in-memory extras."""
+    """Per-step scalars: the fields without a default are the columns of a
+    run's ``diagnostics.csv``, in order; the rest are in-memory extras."""
 
     step: int
     t: float

@@ -222,11 +222,11 @@ def test_03_energy_and_entropy_stability(runs):
                     failures.append(
                         f"energy grew at {g}^2 eps={eps:g} step {d.step}")
                     break
-                if d.entropy_pi > s_prev * (1.0 + 1e-10):
+                if d.entropy > s_prev * (1.0 + 1e-10):
                     failures.append(
                         f"entropy grew at {g}^2 eps={eps:g} step {d.step}")
                     break
-                e_prev, s_prev = d.energy, d.entropy_pi
+                e_prev, s_prev = d.energy, d.entropy
     for g in (32, 64, 128, 256, 512):
         traj = _incomp(runs, g)
         ke_prev = kinetic_energy(traj.states[0].v)
@@ -292,10 +292,9 @@ def test_07_refinement_statistics_decrease(runs):
         _incomp(runs, g)
         for eps in (1.0, 1e-2):
             _comp(runs, g, eps)
-    cases = {f"comp eps={eps:g}": error_rows(runs, SWEEP_GRIDS, REF_GRID,
-                                             T_FINAL, eps)
+    cases = {f"comp eps={eps:g}": error_rows(runs, SWEEP_GRIDS, REF_GRID, eps)
              for eps in (1.0, 1e-2)}
-    cases["incomp"] = error_rows(runs, SWEEP_GRIDS, REF_GRID, T_FINAL)
+    cases["incomp"] = error_rows(runs, SWEEP_GRIDS, REF_GRID)
     for label, table in cases.items():
         for name in ("E1", "E2", "E3", "E4"):
             series = _series(table, SWEEP_GRIDS, name)

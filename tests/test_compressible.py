@@ -22,7 +22,6 @@ from apeuler.compressible import (
     eta_rule,
     face_dt_bound,
     init_comp,
-    pi_gamma_values,
     psi_values,
     run_comp,
     stabilization,
@@ -53,19 +52,28 @@ def _well_prepared_state(mesh, eps):
 # equation of state and energies
 # ---------------------------------------------------------------------------
 
-def test_eos_psi_pi_gamma_at_gamma_two():
+def test_eos_psi_pi_gamma_at_gamma_two(mesh2):
     rho = np.array([1.0, 2.0, 0.5, 3.0])
     np.testing.assert_allclose(eos_values(rho, 2.0), [1.0, 4.0, 0.25, 9.0])
     np.testing.assert_allclose(psi_values(rho, 2.0), [1.0, 4.0, 0.25, 9.0])
-    # for gamma = 2: pi(rho) = (rho - 1)^2
-    np.testing.assert_allclose(pi_gamma_values(rho, 2.0),
-                               [0.0, 1.0, 0.25, 4.0], atol=1e-15)
+    # for gamma = 2: Pi(rho) = (rho - 1)^2, so at rest the entropy variant
+    # is sum |K| (rho - 1)^2 / eps^2
+    u = cell_vector(mesh2, (0.0, 0.0))
+    for eps in (1.0, 0.5):
+        assert total_entropy(CellScalar(mesh2, rho), u, eps, 2.0) == \
+            pytest.approx(np.dot(mesh2.cell_vol, (rho - 1.0) ** 2) / eps**2,
+                          rel=1e-14)
 
 
 def test_pi_gamma_nonnegative_general_gamma(mesh2, rng):
-    rho = rng.uniform(0.1, 5.0, mesh2.ncells)
-    assert np.all(pi_gamma_values(rho, 1.4) >= 0.0)
-    assert pi_gamma_values(np.ones(4), 1.4) == pytest.approx(0.0)
+    # at rest on a constant density r the entropy variant is |Omega| Pi(r)
+    u = cell_vector(mesh2, (0.0, 0.0))
+    for r in rng.uniform(0.1, 5.0, mesh2.ncells):
+        assert total_entropy(cell_scalar(mesh2, r), u, 1.0, 1.4) >= 0.0
+    rho = CellScalar(mesh2, rng.uniform(0.1, 5.0, mesh2.ncells))
+    assert total_entropy(rho, u, 1.0, 1.4) >= 0.0
+    assert total_entropy(cell_scalar(mesh2, 1.0), u, 1.0, 1.4) == \
+        pytest.approx(0.0, abs=1e-15)
 
 
 def test_eos_rejects_nonpositive():
@@ -374,12 +382,12 @@ def test_comp_step_energy_and_entropy_monotone(mesh16, eps):
         state, diag = comp_step(state, cfg)
         assert diag.energy_ok
         assert diag.energy <= e_prev * (1.0 + 1e-10)
-        assert diag.entropy_pi <= s_prev * (1.0 + 1e-10)
+        assert diag.entropy <= s_prev * (1.0 + 1e-10)
         assert diag.mass == pytest.approx(mass0, rel=1e-12)
         assert diag.rho_min > 0.0
         assert diag.dt <= diag.dt_bound
         assert diag.picard_iters >= 1
-        e_prev, s_prev = diag.energy, diag.entropy_pi
+        e_prev, s_prev = diag.energy, diag.entropy
     assert state.step == 5
 
 
@@ -429,7 +437,7 @@ def test_comp_step_carries_its_energy(mesh16):
     state = _well_prepared_state(mesh16, 1e-2)
     s1, d1 = comp_step(state, cfg)
     assert s1.energy == d1.energy == total_energy(s1.rho, s1.u, 1e-2, cfg.gamma)
-    assert d1.entropy_pi == total_entropy(s1.rho, s1.u, 1e-2, cfg.gamma)
+    assert d1.entropy == total_entropy(s1.rho, s1.u, 1e-2, cfg.gamma)
     s2, d2 = comp_step(s1, cfg)
     s2_fresh, d2_fresh = comp_step(replace(s1, energy=None), cfg)
     assert d2 == d2_fresh and s2.energy == s2_fresh.energy

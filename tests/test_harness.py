@@ -3,6 +3,7 @@ per sweep cell, determinism across reruns and worker counts, failure
 isolation, exit codes, and the package names the benchmark tracer wraps."""
 
 import concurrent.futures
+import dataclasses
 import faulthandler
 import importlib.util
 import multiprocessing
@@ -16,8 +17,11 @@ import pytest
 
 import apeuler.cli as cli
 import apeuler.harness as harness
+from apeuler.compressible import StepDiagnostics
 from apeuler.config import config_hash, parse_config_text
 from apeuler.harness import OutputBundle, run_experiment
+from apeuler.incompressible import IncompStepDiagnostics
+from apeuler.output import format_value
 
 TINY = ("grids = 4,8\nref_grid = 16\neps = 1.0,0.01\n"
         "t_final = 0.001\noutput_count = 2\n")
@@ -125,6 +129,59 @@ def test_tables_are_the_row_functions_written_out(tmp_path, monkeypatch):
                                           np.array(rows, dtype=float))
 
 
+def test_run_files_are_the_trajectories_written_out(tmp_path, monkeypatch):
+    # for both schemes, diagnostics.csv has the diagnostics dataclass's
+    # fields without a default as header and each step's values of them
+    # through format_value as rows; fields_final.csv holds the final state
+    swept = {}
+    real = harness._sweep
+
+    def sweep(cfg, cells):
+        swept["results"], failures = real(cfg, cells)
+        return swept["results"], failures
+
+    monkeypatch.setattr(harness, "_sweep", sweep)
+    bundle = run_experiment(_cfg(SMALLEST, tmp_path / "r",
+                                 extra="mode = convergence_study\n"))
+    assert bundle.ok
+    checked = Counter()
+    for key, (traj, rel) in swept["results"].items():
+        final = traj.states[-1]
+        if key[0] == "comp":
+            schema, names = StepDiagnostics, ["diagnostics.csv",
+                                              "fields_final.csv",
+                                              "density_deviation.csv"]
+            m = final.rho.values[:, None] * final.u.values
+            fields = {"rho": final.rho.values, "m1": m[:, 0], "m2": m[:, 1],
+                      "u1": final.u.values[:, 0], "u2": final.u.values[:, 1]}
+        else:
+            schema, names = IncompStepDiagnostics, ["diagnostics.csv",
+                                                    "fields_final.csv"]
+            fields = {"v1": final.v.values[:, 0], "v2": final.v.values[:, 1],
+                      "pi": final.pi.values}
+        assert [r.name for r in rel] == names
+        columns = [f.name for f in dataclasses.fields(schema)
+                   if f.default is dataclasses.MISSING]
+        for sub in ("comp", "incomp"):
+            rundir = bundle.outdir / sub / rel[0].parent
+            if not rundir.is_dir():
+                continue
+            lines = (rundir / "diagnostics.csv").read_text().splitlines()
+            assert lines[1].split(",") == columns
+            assert lines[2:] == [",".join(format_value(getattr(d, c))
+                                          for c in columns)
+                                 for d in traj.diagnostics]
+            lines = (rundir / "fields_final.csv").read_text().splitlines()
+            assert lines[1].split(",") == ["i", "j", "x", "y", *fields]
+            parsed = np.array([[float(v) for v in line.split(",")[4:]]
+                               for line in lines[2:]])
+            np.testing.assert_array_equal(
+                parsed, np.column_stack(list(fields.values())))
+            checked[key[0]] += 1
+    # the shared cells are checked in both bundles
+    assert checked == {"comp": 3, "incomp": 4}
+
+
 def test_run_experiment_dispatch(tmp_path):
     cfg = _cfg(SMALLEST, tmp_path / "c", extra="mode = convergence_study\n")
     bundle = run_experiment(cfg)
@@ -147,18 +204,13 @@ def test_convergence_study_runs_each_cell_once(tmp_path, monkeypatch):
     # both studies need the limit runs on every grid and the compressible
     # run on the finest sweep grid; each cell still runs once
     calls = Counter()
-    real_comp, real_incomp = harness._comp_job, harness._incomp_job
+    real = harness._job
 
-    def comp(cfg, grid, eps):
-        calls[("comp", grid, eps)] += 1
-        return real_comp(cfg, grid, eps)
+    def job(cfg, key):
+        calls[key] += 1
+        return real(cfg, key)
 
-    def incomp(cfg, grid):
-        calls[("incomp", grid)] += 1
-        return real_incomp(cfg, grid)
-
-    monkeypatch.setattr(harness, "_comp_job", comp)
-    monkeypatch.setattr(harness, "_incomp_job", incomp)
+    monkeypatch.setattr(harness, "_job", job)
     # ... and renders its run files once, the shared ones copied byte for
     # byte into the second bundle
     fields = Counter()
@@ -192,7 +244,8 @@ def test_convergence_study_runs_each_cell_once(tmp_path, monkeypatch):
 # determinism
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("mode", ["compressible", "convergence_study"])
+@pytest.mark.parametrize("mode", ["compressible", "incompressible",
+                                  "convergence_study"])
 def test_rerun_is_byte_identical(tmp_path, mode):
     cfg = _cfg(SMALLEST, tmp_path / "d", extra=f"mode = {mode}\n")
     first = run_experiment(cfg)
@@ -203,7 +256,8 @@ def test_rerun_is_byte_identical(tmp_path, mode):
         assert p.read_bytes() == payload
 
 
-@pytest.mark.parametrize("mode", ["compressible", "convergence_study"])
+@pytest.mark.parametrize("mode", ["compressible", "incompressible",
+                                  "convergence_study"])
 def test_worker_count_does_not_change_results(tmp_path, mode):
     # neither outdir nor workers enters the config hash, so whole files match
     b1 = run_experiment(_cfg(TINY, tmp_path / "w1",
@@ -237,14 +291,14 @@ def test_worker_count_does_not_change_results(tmp_path, mode):
 ])
 def test_sweep_cell_failure_is_isolated(tmp_path, monkeypatch, mode, subdirs,
                                         failed_grids, workers):
-    real = harness._comp_job
+    real = harness._job
 
-    def flaky(cfg, grid, eps):
-        if eps < 0.1:
+    def flaky(cfg, key):
+        if key[0] == "comp" and key[2] < 0.1:
             raise RuntimeError("synthetic cell failure")
-        return real(cfg, grid, eps)
+        return real(cfg, key)
 
-    monkeypatch.setattr(harness, "_comp_job", flaky)
+    monkeypatch.setattr(harness, "_job", flaky)
     cfg = _cfg(TINY, tmp_path / "f",
                extra=f"mode = {mode}\nworkers = {workers}\n")
     bundle = run_experiment(cfg)
@@ -323,14 +377,14 @@ def test_rerun_removes_run_files_of_a_cell_that_now_fails(
         assert (first.outdir / sub / "runs" / "comp_k8_eps0.01"
                 / "diagnostics.csv").is_file()
 
-    real = harness._comp_job
+    real = harness._job
 
-    def flaky(cfg, grid, eps):
-        if (grid, eps) == (8, 0.01):
+    def flaky(cfg, key):
+        if key == ("comp", 8, 0.01):
             raise RuntimeError("synthetic cell failure")
-        return real(cfg, grid, eps)
+        return real(cfg, key)
 
-    monkeypatch.setattr(harness, "_comp_job", flaky)
+    monkeypatch.setattr(harness, "_job", flaky)
     bundle = run_experiment(cfg)
     assert bundle.failures == ["comp k=8 eps=0.01: synthetic cell failure"] * 2
     for sub in ("comp", "incomp"):
@@ -343,14 +397,14 @@ def test_dead_worker_fails_its_cells_and_leaves_no_process(tmp_path,
                                                           monkeypatch):
     # a worker that dies outright fails its own cell and every cell still
     # pending with BrokenProcessPool; the sweep returns and reaps the pool
-    real = harness._comp_job
+    real = harness._job
 
-    def dying(cfg, grid, eps):
-        if (grid, eps) == (8, 0.01):
+    def dying(cfg, key):
+        if key == ("comp", 8, 0.01):
             os._exit(1)
-        return real(cfg, grid, eps)
+        return real(cfg, key)
 
-    monkeypatch.setattr(harness, "_comp_job", dying)
+    monkeypatch.setattr(harness, "_job", dying)
     faulthandler.dump_traceback_later(120, exit=True)   # a hang fails loudly
     try:
         bundle = run_experiment(_cfg(TINY, tmp_path / "x",
