@@ -5,8 +5,10 @@ A refinement sequence of solutions is treated as an equal-weight empirical
 measure per cell; its Cesaro average and first variance are the objects
 whose convergence the statistics probe.  Cross-grid comparisons restrict
 the finer field by exact cell averaging (the adjoint of piecewise-constant
-injection, so means are preserved).  The four errors against a reference
-sequence are volume-weighted L1 quantities:
+injection, so means are preserved): the r fine rows of each coarse row are
+summed first, over contiguous memory, then the r columns of each block,
+and the sums divided by r^2.  The four errors against a reference sequence
+are volume-weighted L1 quantities:
 
     E1  finest member vs reference solution,
     E2  Cesaro average vs reference Cesaro average,
@@ -14,14 +16,20 @@ sequence are volume-weighted L1 quantities:
     E4  L1 norm of the per-cell 1-D Wasserstein distance between the two
         member samples, summed over state components.
 
-``w1_empirical`` is batched: it takes the member samples of every cell and
-component at once, on axis 0, so E4 is one call on the stacked ensembles.
+An ``Ensemble`` computes its stacked samples, Cesaro mean, first variance
+and sorted samples once, on first use, as read-only arrays; ``cesaro``,
+``first_variance`` and ``error_suite`` read them, so a reference sequence
+compared against every prefix is stacked and sorted once.  W1 is batched:
+one quantile-gap evaluation over every cell and component of two sorted
+stacks gives E4, and ``w1_empirical`` sorts its samples and runs the same
+kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,13 +79,31 @@ class Snapshot:
         object.__setattr__(self, "data", data)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Members of a refinement sequence, coarse to fine, all restricted to
-    the common (coarsest) comparison grid."""
+    the common (coarsest) comparison grid.
+
+    The statistics below are computed on first use and kept, read-only;
+    the members' data are taken to stay unchanged after that.
+    """
 
     members: tuple[Snapshot, ...]
     time: float
+
+    def __post_init__(self) -> None:
+        if not self.members:
+            raise ValueError("ensemble needs at least one member")
+        grid, labels = (self.mesh.nx, self.mesh.ny), self.labels
+        if any((m.mesh.nx, m.mesh.ny) != grid for m in self.members):
+            raise ValueError("members live on different grids")
+        if any(m.labels != labels for m in self.members):
+            raise ValueError("members carry different state components")
 
     @property
     def mesh(self) -> Mesh:
@@ -86,6 +112,26 @@ class Ensemble:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.members[0].labels
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """Member axis first: (nmembers, ncomp, ncells)."""
+        return _read_only(np.stack([m.data for m in self.members]))
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """Cesaro average, (ncomp, ncells)."""
+        return _read_only(self.samples.mean(axis=0))
+
+    @cached_property
+    def variance(self) -> np.ndarray:
+        """First variance: mean |sample - Cesaro average|, (ncomp, ncells)."""
+        return _read_only(np.abs(self.samples - self.mean).mean(axis=0))
+
+    @cached_property
+    def sorted_samples(self) -> np.ndarray:
+        """``samples`` sorted along the member axis."""
+        return _read_only(np.sort(self.samples, axis=0))
 
 
 @dataclass(frozen=True)
@@ -134,13 +180,22 @@ def _refinement_factor(fine: Mesh, coarse: Mesh) -> int:
 
 
 def restrict_values(values: np.ndarray, fine: Mesh, coarse: Mesh) -> np.ndarray:
-    """Cell-average a flat fine-grid array onto a nested coarser grid."""
+    """Cell-average a flat fine-grid array onto a nested coarser grid.
+
+    The r fine rows of each coarse row are summed first, whole rows at a
+    time, then the r columns of each block, one strided column at a time;
+    a reduction over an inner axis only r long, once per coarse cell, is
+    several times slower.  r^2 is a power of two, so the division is exact.
+    """
     r = _refinement_factor(fine, coarse)
     if r == 1:
         return np.array(values, dtype=np.float64)
-    blocks = np.asarray(values, dtype=np.float64).reshape(
-        coarse.ny, r, coarse.nx, r)
-    return blocks.mean(axis=(1, 3)).reshape(coarse.ncells)
+    rows = np.asarray(values, dtype=np.float64).reshape(
+        coarse.ny, r, coarse.nx, r).sum(axis=1)
+    block = rows[..., 0].copy()
+    for k in range(1, r):
+        block += rows[..., k]
+    return block.reshape(coarse.ncells) / (r * r)
 
 
 def restrict_snapshot(snap: Snapshot, coarse: Mesh) -> Snapshot:
@@ -165,32 +220,15 @@ def make_ensemble(snapshots, time: float) -> Ensemble:
     return Ensemble(members=members, time=float(time))
 
 
-def _stack(ensemble: Ensemble) -> np.ndarray:
-    """Member axis first: (nmembers, ncomp, ncells)."""
-    return np.stack([m.data for m in ensemble.members])
-
-
 def cesaro(ensemble: Ensemble) -> Snapshot:
-    """Pointwise arithmetic mean over the members."""
-    if not ensemble.members:
-        raise ValueError("empty ensemble")
-    return Snapshot(ensemble.mesh, _stack(ensemble).mean(axis=0),
-                    ensemble.labels)
-
-
-def _mean_abs_dev(stacked: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Mean over axis 0 of |stacked - mean|."""
-    return np.abs(stacked - mean).mean(axis=0)
+    """Pointwise arithmetic mean over the members (read-only data)."""
+    return Snapshot(ensemble.mesh, ensemble.mean, ensemble.labels)
 
 
 def first_variance(ensemble: Ensemble) -> Snapshot:
-    """Pointwise mean absolute deviation from the Cesaro average."""
-    if not ensemble.members:
-        raise ValueError("empty ensemble")
-    stacked = _stack(ensemble)
-    return Snapshot(ensemble.mesh,
-                    _mean_abs_dev(stacked, stacked.mean(axis=0)),
-                    ensemble.labels)
+    """Pointwise mean absolute deviation from the Cesaro average (read-only
+    data)."""
+    return Snapshot(ensemble.mesh, ensemble.variance, ensemble.labels)
 
 
 def w1_empirical(a, b) -> float | np.ndarray:
@@ -200,11 +238,8 @@ def w1_empirical(a, b) -> float | np.ndarray:
     trailing shape, which must match, indexes independent distributions, and
     the result has that trailing shape.  1-D input gives a Python float.
 
-    W1 is the integral over (0, 1) of the quantile gap |F_a^-1 - F_b^-1|.
-    Both quantile functions are constant between the breakpoints
-    {i/N} u {j/M}, which depend only on N and M, so every distribution
-    shares them: sort along axis 0, read both sorted samples at the segment
-    midpoints and sum the gaps weighted by the segment lengths.
+    W1 is the integral over (0, 1) of the quantile gap |F_a^-1 - F_b^-1|,
+    which ``_sorted_w1`` evaluates on the samples sorted along axis 0.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -213,6 +248,18 @@ def w1_empirical(a, b) -> float | np.ndarray:
     if a.shape[1:] != b.shape[1:]:
         raise ValueError(
             f"trailing shapes differ: {a.shape[1:]} vs {b.shape[1:]}")
+    w1 = _sorted_w1(np.sort(a, axis=0), np.sort(b, axis=0))
+    return float(w1) if w1.ndim == 0 else w1
+
+
+def _sorted_w1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W1 of samples already sorted along axis 0, one per trailing index.
+
+    Both quantile functions are constant between the breakpoints
+    {i/N} u {j/M}, which depend only on N and M, so every distribution
+    shares them: read both sorted samples at the segment midpoints and sum
+    the gaps weighted by the segment lengths.
+    """
     n, m = a.shape[0], b.shape[0]
     # equal rationals i/N == j/M divide to the same float, so the union
     # needs no tolerance
@@ -220,9 +267,7 @@ def w1_empirical(a, b) -> float | np.ndarray:
     mid = 0.5 * (t[:-1] + t[1:])
     ia = np.minimum((mid * n).astype(np.intp), n - 1)
     ib = np.minimum((mid * m).astype(np.intp), m - 1)
-    gap = np.abs(np.sort(a, axis=0)[ia] - np.sort(b, axis=0)[ib])
-    w1 = np.tensordot(np.diff(t), gap, axes=1)
-    return float(w1) if w1.ndim == 0 else w1
+    return np.tensordot(np.diff(t), np.abs(a[ia] - b[ib]), axes=1)
 
 
 def _l1(mesh: Mesh, diff: np.ndarray) -> float:
@@ -247,16 +292,11 @@ def error_suite(ensemble: Ensemble, ref_ensemble: Ensemble) -> ErrorReport:
     if ensemble.labels != ref_ensemble.labels:
         raise ValueError("state components differ between ensembles")
 
-    samples = _stack(ensemble)          # (N, ncomp, ncells)
-    ref_samples = _stack(ref_ensemble)  # (M, ncomp, ncells)
-    mean = samples.mean(axis=0)
-    ref_mean = ref_samples.mean(axis=0)
-
-    e1 = _l1(mesh, samples[-1] - ref_samples[-1])
-    e2 = _l1(mesh, mean - ref_mean)
-    e3 = _l1(mesh, _mean_abs_dev(samples, mean)
-             - _mean_abs_dev(ref_samples, ref_mean))
-    e4 = float((w1_empirical(samples, ref_samples) @ mesh.cell_vol).sum())
+    e1 = _l1(mesh, ensemble.members[-1].data - ref_ensemble.members[-1].data)
+    e2 = _l1(mesh, ensemble.mean - ref_ensemble.mean)
+    e3 = _l1(mesh, ensemble.variance - ref_ensemble.variance)
+    w1 = _sorted_w1(ensemble.sorted_samples, ref_ensemble.sorted_samples)
+    e4 = float((w1 @ mesh.cell_vol).sum())
 
     return ErrorReport(E1=e1, E2=e2, E3=e3, E4=e4)
 

@@ -103,6 +103,47 @@ def test_restrict_rejects_non_nested():
         restrict_values(np.zeros(32), Mesh(MeshSpec(8, 4)), Mesh(MeshSpec(4, 4)))
 
 
+def _block_means(q, fine, coarse):
+    """Explicit loop over coarse cells: mean of the r x r fine block."""
+    r = fine.nx // coarse.nx
+    grid = np.asarray(q).reshape(fine.ny, fine.nx)
+    out = np.empty(coarse.ncells)
+    for jc in range(coarse.ny):
+        for ic in range(coarse.nx):
+            block = grid[jc * r:(jc + 1) * r, ic * r:(ic + 1) * r]
+            out[jc * coarse.nx + ic] = block.mean()
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 8])
+def test_restrict_matches_explicit_block_means(r, rng):
+    # nx != ny, so a swapped row/column order would not fit; the kernel's
+    # summation order differs from the explicit mean by a few ulp at most
+    coarse = Mesh(MeshSpec(6, 3))
+    fine = Mesh(MeshSpec(6 * r, 3 * r))
+    q = rng.standard_normal(fine.ncells)
+    np.testing.assert_allclose(restrict_values(q, fine, coarse),
+                               _block_means(q, fine, coarse),
+                               rtol=1e-15, atol=1e-15)
+    # integers, and their sums, are exact in float64: exact block means
+    ints = rng.integers(-1000, 1000, fine.ncells).astype(np.float64)
+    np.testing.assert_array_equal(restrict_values(ints, fine, coarse),
+                                  _block_means(ints, fine, coarse))
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 8])
+def test_restrict_snapshot_is_rowwise_restrict_values(r, rng):
+    coarse = Mesh(MeshSpec(4, 2))
+    fine = Mesh(MeshSpec(4 * r, 2 * r))
+    snap = Snapshot(fine, rng.standard_normal((3, fine.ncells)),
+                    ("rho", "m1", "m2"))
+    got = restrict_snapshot(snap, coarse)
+    assert got.mesh is coarse and got.labels == snap.labels
+    for row, values in zip(got.data, snap.data):
+        np.testing.assert_array_equal(
+            row, restrict_values(values, fine, coarse))
+
+
 # ---------------------------------------------------------------------------
 # ensembles and their statistics
 # ---------------------------------------------------------------------------
@@ -125,6 +166,40 @@ def test_make_ensemble_validation(mesh2, mesh4):
     with pytest.raises(ValueError):
         make_ensemble([_const_snapshot(mesh2, 0.0),
                        Snapshot(mesh4, np.zeros((1, 16)), ("other",))], time=0.0)
+
+
+def test_ensemble_rejects_empty():
+    with pytest.raises(ValueError):
+        Ensemble((), 0.0)
+
+
+def test_ensemble_rejects_members_on_different_grids(mesh4):
+    # 4x4 and 8x2 both have 16 cells, but their cells do not correspond
+    wide = Mesh(MeshSpec(8, 2))
+    with pytest.raises(ValueError):
+        Ensemble((_const_snapshot(mesh4, 0.0), _const_snapshot(wide, 1.0)), 0.0)
+
+
+def test_ensemble_rejects_members_with_different_labels(mesh2):
+    other = Snapshot(mesh2, np.zeros((1, 4)), ("z",))
+    with pytest.raises(ValueError):
+        Ensemble((_const_snapshot(mesh2, 0.0), other), 0.0)
+
+
+def test_ensemble_statistics_are_read_only(mesh2, rng):
+    snaps = tuple(Snapshot(mesh2, rng.standard_normal((2, 4)), ("a", "b"))
+                  for _ in range(3))
+    ens = Ensemble(snaps, 0.0)
+    ref = Ensemble(tuple(Snapshot(mesh2, rng.standard_normal((2, 4)),
+                                  ("a", "b")) for _ in range(2)), 0.0)
+    before = error_suite(ens, ref)
+    for stat in (cesaro(ens), first_variance(ens)):
+        with pytest.raises(ValueError):
+            stat.data[0, 0] = 1e9
+    for arr in (ens.samples, ens.sorted_samples):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1e9
+    assert error_suite(ens, ref) == before
 
 
 def test_cesaro_and_first_variance_oracle(mesh2):
@@ -308,6 +383,56 @@ def test_error_suite_validation(mesh2, mesh4):
     other = Ensemble((Snapshot(mesh2, np.zeros((1, 4)), ("z",)),), 0.0)
     with pytest.raises(ValueError):
         error_suite(ens2, other)
+
+
+def _from_scratch_report(ens, ref):
+    """E1--E4 by the from-scratch formulas: stack the members, take the
+    mean and the mean absolute deviation, and W1 from the sorted samples at
+    the merged quantile breakpoints."""
+    cell_vol = ens.mesh.cell_vol
+    s = np.stack([m.data for m in ens.members])
+    rs = np.stack([m.data for m in ref.members])
+    mean, ref_mean = s.mean(axis=0), rs.mean(axis=0)
+    var = np.abs(s - mean).mean(axis=0)
+    ref_var = np.abs(rs - ref_mean).mean(axis=0)
+    n, m = len(s), len(rs)
+    t = np.union1d(np.arange(n + 1) / n, np.arange(m + 1) / m)
+    mid = 0.5 * (t[:-1] + t[1:])
+    ia = np.minimum((mid * n).astype(np.intp), n - 1)
+    ib = np.minimum((mid * m).astype(np.intp), m - 1)
+    gap = np.abs(np.sort(s, axis=0)[ia] - np.sort(rs, axis=0)[ib])
+    w1 = np.tensordot(np.diff(t), gap, axes=1)
+
+    def l1(diff):
+        return float((np.abs(diff) @ cell_vol).sum())
+
+    report = ErrorReport(E1=l1(s[-1] - rs[-1]), E2=l1(mean - ref_mean),
+                         E3=l1(var - ref_var),
+                         E4=float((w1 @ cell_vol).sum()))
+    return report, mean, var
+
+
+@pytest.mark.parametrize("stats_first", [False, True])
+def test_cached_statistics_equal_from_scratch_formulas(stats_first, rng):
+    meshes = [Mesh(MeshSpec(6 * 2**j, 3 * 2**j)) for j in range(4)]
+    labels = ("rho", "m1", "m2")
+
+    def sequence():
+        return [Snapshot(mesh, rng.standard_normal((3, mesh.ncells)), labels)
+                for mesh in meshes]
+
+    seq = sequence()
+    ref = make_ensemble(sequence(), 0.5)     # reused for every prefix
+    for k in range(1, len(seq) + 1):
+        ens = make_ensemble(seq[:k], 0.5)
+        expect, mean, var = _from_scratch_report(ens, ref)
+        if stats_first:
+            np.testing.assert_array_equal(cesaro(ens).data, mean)
+            np.testing.assert_array_equal(first_variance(ens).data, var)
+        assert error_suite(ens, ref) == expect
+        np.testing.assert_array_equal(cesaro(ens).data, mean)
+        np.testing.assert_array_equal(first_variance(ens).data, var)
+        assert error_suite(ens, ref) == expect
 
 
 # ---------------------------------------------------------------------------
