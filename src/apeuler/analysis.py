@@ -19,10 +19,13 @@ are volume-weighted L1 quantities:
 An ``Ensemble`` computes its stacked samples, Cesaro mean, first variance
 and sorted samples once, on first use, as read-only arrays; ``cesaro``,
 ``first_variance`` and ``error_suite`` read them, so a reference sequence
-compared against every prefix is stacked and sorted once.  W1 is batched:
-one quantile-gap evaluation over every cell and component of two sorted
-stacks gives E4, and ``w1_empirical`` sorts its samples and runs the same
-kernel.
+compared against every prefix is stacked and sorted once.  The sorted
+samples come from a min/max sorting network over whole member slices:
+O(N^2) slice passes for N members, faster than ``np.sort`` up to about 10
+members, and a refinement sequence has one member per grid level.  W1 is
+batched: one quantile-gap evaluation over every cell and component of two
+sorted stacks gives E4, and ``w1_empirical``, which takes any number of
+samples, sorts them with ``np.sort`` and runs the same kernel.
 """
 
 from __future__ import annotations
@@ -84,6 +87,27 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _sort_members(samples: np.ndarray) -> np.ndarray:
+    """A copy of ``samples`` sorted along axis 0 by odd-even transposition.
+
+    Pass p compare-exchanges the member slices (i, i+1) for i = p mod 2,
+    p mod 2 + 2, ...; N passes sort N members (Knuth, TAOCP Vol. 3,
+    section 5.3.4).  Min and max only pick values, so the result holds the values
+    ``np.sort`` gives, for O(N^2) slice operations.  A refinement sequence
+    has one member per grid level, and up to about 10 members this beats
+    ``np.sort``'s one short sort per trailing index.
+    """
+    out = samples.copy()
+    n = out.shape[0]
+    for p in range(n):
+        for i in range(p % 2, n - 1, 2):
+            a, b = out[i], out[i + 1]
+            lo = np.minimum(a, b)
+            np.maximum(a, b, out=b)
+            a[...] = lo
+    return out
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Members of a refinement sequence, coarse to fine, all restricted to
@@ -130,8 +154,12 @@ class Ensemble:
 
     @cached_property
     def sorted_samples(self) -> np.ndarray:
-        """``samples`` sorted along the member axis."""
-        return _read_only(np.sort(self.samples, axis=0))
+        """``samples`` sorted along the member axis, by ``_sort_members``.
+
+        Members are expected to be finite: a NaN spreads along its column
+        here, where ``np.sort`` would put it last (E4 is NaN either way).
+        """
+        return _read_only(_sort_members(self.samples))
 
 
 @dataclass(frozen=True)

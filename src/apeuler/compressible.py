@@ -381,7 +381,13 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
         # the donor density attached to the active half of du per face
         rk = rho_l.reshape(grid)
         rl = _neighbour(rk, rk)
-        c = np.where(dn > 0.0, rl, np.where(dn < 0.0, rk, 0.5 * (rk + rl)))
+        c = np.where(dn > 0.0, rl, rk)
+        # a face at rest (dn == 0) takes the average; there are none unless
+        # the pressure is flat across a face's stencil, so average only when
+        # some are
+        rest = dn == 0.0
+        if rest.any():
+            np.copyto(c, 0.5 * (rk + rl), where=rest)
         c *= shift_scale
         pp = config.gamma * rho_l ** (config.gamma - 1.0)
 

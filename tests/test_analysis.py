@@ -202,6 +202,50 @@ def test_ensemble_statistics_are_read_only(mesh2, rng):
     assert error_suite(ens, ref) == before
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sorted_samples_equal_np_sort(n, rng):
+    # every (component, cell) is one column of n member values: integers
+    # with ties and repeats, negatives and signed zeros in the first
+    # component, general floats in the second; cell 0 holds n-1, ..., 0,
+    # the order the sorting network needs all n passes for
+    mesh = Mesh(MeshSpec(8, 8))
+    data = np.empty((n, 2, mesh.ncells))
+    data[:, 0] = rng.integers(-3, 4, (n, mesh.ncells))
+    data[:, 0][data[:, 0] == 0.0] = -0.0
+    data[:, 0][rng.random((n, mesh.ncells)) < 0.1] = 0.0
+    data[:, 1] = rng.standard_normal((n, mesh.ncells))
+    data[:, :, 0] = np.arange(n - 1, -1, -1)[:, None]
+    ens = Ensemble(tuple(Snapshot(mesh, d, ("a", "b")) for d in data), 0.0)
+    np.testing.assert_array_equal(ens.sorted_samples, np.sort(data, axis=0))
+    with pytest.raises(ValueError):
+        ens.sorted_samples[0, 0, 0] = 1e9
+
+
+def test_error_suite_e4_is_summed_w1_empirical(rng):
+    # E4 sorts with the network, w1_empirical with np.sort: the same bits
+    # for unequal member counts, ties included
+    mesh = Mesh(MeshSpec(5, 3))
+    labels = ("a", "b")
+
+    def snap(data):
+        return Snapshot(mesh, data, labels)
+
+    ref_data = rng.integers(-2, 3, (5, 2, mesh.ncells)).astype(np.float64)
+    ref_data[:, 1] += rng.standard_normal((5, mesh.ncells))
+    ref = Ensemble(tuple(snap(d) for d in ref_data), 0.0)
+    data = rng.integers(-2, 3, (4, 2, mesh.ncells)).astype(np.float64)
+    data[:, 1] += rng.standard_normal((4, mesh.ncells))
+    for k in range(1, 5):
+        ens = Ensemble(tuple(snap(d) for d in data[:k]), 0.0)
+        w1 = w1_empirical(data[:k], ref_data)
+        assert error_suite(ens, ref).E4 == float((w1 @ mesh.cell_vol).sum())
+
+    # a member holding a NaN still gives a NaN E4
+    data[1, 0, 7] = np.nan
+    ens = Ensemble(tuple(snap(d) for d in data), 0.0)
+    assert np.isnan(error_suite(ens, ref).E4)
+
+
 def test_cesaro_and_first_variance_oracle(mesh2):
     ens = Ensemble((_const_snapshot(mesh2, 0.0), _const_snapshot(mesh2, 2.0)),
                    time=0.0)
