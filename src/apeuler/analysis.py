@@ -240,9 +240,6 @@ def make_ensemble(snapshots, time: float) -> Ensemble:
     sizes = [s.mesh.ncells for s in snapshots]
     if sizes != sorted(sizes):
         raise ValueError("members must be ordered coarse to fine")
-    labels = snapshots[0].labels
-    if any(s.labels != labels for s in snapshots):
-        raise ValueError("members carry different state components")
     base = snapshots[0].mesh
     members = tuple(restrict_snapshot(s, base) for s in snapshots)
     return Ensemble(members=members, time=float(time))
@@ -335,13 +332,12 @@ def rel_energy_comp(rho: CellScalar, m: CellVector, r: CellScalar,
     sum |K| [ (rho/2)|m/rho - U|^2
               + (psi(rho) - psi(r) - psi'(r)(rho - r)) / eps^2 ]."""
     mesh = rho.mesh
-    if not (np.all(rho.values > 0.0) and np.all(r.values > 0.0)):
-        raise ValueError("densities must be positive")
+    # psi_values checks both densities positive before m / rho divides
+    psi_rho, psi_r = psi_values(rho.values, gamma), psi_values(r.values, gamma)
     du = m.values / rho.values[:, None] - U.values
     kin = 0.5 * rho.values * np.einsum("kc,kc->k", du, du)
     dpsi = gamma / (gamma - 1.0) * r.values ** (gamma - 1.0)
-    bregman = (psi_values(rho.values, gamma) - psi_values(r.values, gamma)
-               - dpsi * (rho.values - r.values))
+    bregman = psi_rho - psi_r - dpsi * (rho.values - r.values)
     return float(np.dot(mesh.cell_vol, kin + bregman / eps**2))
 
 

@@ -21,14 +21,13 @@ explicitly at t^n with the previous step's pressure.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .compressible import (SchemeConfig, Trajectory, _march, face_dt_bound,
-                           upwind_momentum)
+from .compressible import (SchemeConfig, Trajectory, _energy_check, _eta,
+                           _march, face_dt_bound, upwind_momentum)
 from .fields import CellScalar, CellVector
 from .linsolve import SolveReport
 from .mesh import Mesh
@@ -42,8 +41,6 @@ from .operators import (
     project_vector,
     split_advective_velocity,
 )
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "IncompConfig",
@@ -71,9 +68,9 @@ class IncompConfig(SchemeConfig):
 
     @property
     def eta(self) -> float:
-        """Stabilization 1.5 * eta_margin: ``compressible.eta_rule`` at
-        rho = 1, the eps -> 0 value of the compressible coefficient."""
-        return 1.5 * self.eta_margin
+        """Stabilization 1.5 * eta_margin: the compressible rule at
+        min rho = 1, the eps -> 0 value of the compressible coefficient."""
+        return _eta(1.0, self.eta_margin)
 
 
 @dataclass
@@ -215,10 +212,7 @@ def incomp_step(state: IncompState, config: IncompConfig,
     div_residual = lp_norm(resid, 2)
 
     ke = kinetic_energy(v_new)
-    energy_ok = bool(ke <= ke_prev * (1.0 + 1e-10))
-    if not energy_ok:
-        log.warning("kinetic energy grew at step %d: %.15e -> %.15e",
-                    state.step, ke_prev, ke)
+    energy_ok = _energy_check(ke, ke_prev, state.step)
 
     new_state = IncompState(t=state.t + dt, v=v_new, pi=pi_new,
                             step=state.step + 1, ke=ke)

@@ -73,10 +73,11 @@ REF_GRID = 256
 # criterion asks for the decreasing trend and agreement within a factor 3.
 # The three anchors for eps <= 1e-2 are the gaps of the default
 # configuration, which are converged in the inner solves: with
-# picard_tol = transport_tol = 1e-14 they agree with the default run to
-# within 0.2%.  Below eps = 1e-2 they flatten at ~8.5e-7 only because the
-# compressible run is capped at dt_max = t_final/50 = 4e-4 while the limit
-# scheme steps at ~1.56e-4; with a shared dt_max the gap falls like eps^2
+# compressible.PICARD_TOL = TRANSPORT_TOL = 1e-14 monkeypatched in (default
+# 1e-11 and 1e-12) they agree with the default run to within 0.2%.  Below
+# eps = 1e-2 they flatten at ~8.5e-7 only because the compressible run
+# is capped at dt_max = t_final/50 = 4e-4 while the limit scheme steps at
+# ~1.56e-4; with a shared dt_max the gap falls like eps^2
 # (test_velocity_gap_to_limit_is_order_eps_squared in test_compressible.py).
 GAP_ANCHORS = (9.49e-1, 3.15e-2, 8.70e-5, 1.28e-6, 8.55e-7)
 

@@ -510,11 +510,17 @@ def test_rel_energy_comp_zero_at_reference(mesh4, rng):
 
 
 def test_rel_energy_comp_rejects_bad_density(mesh4):
+    zero = cell_vector(mesh4, (0.0, 0.0))
+    one = cell_scalar(mesh4, 1.0)
     with pytest.raises(ValueError):
-        rel_energy_comp(CellScalar(mesh4, np.full(16, -1.0)),
-                        cell_vector(mesh4, (0.0, 0.0)),
-                        cell_scalar(mesh4, 1.0),
-                        cell_vector(mesh4, (0.0, 0.0)), 1.0, 2.0)
+        rel_energy_comp(CellScalar(mesh4, np.full(16, -1.0)), zero, one,
+                        zero, 1.0, 2.0)
+    # a NaN in either density is rejected, not summed into a NaN energy
+    nan = CellScalar(mesh4, np.where(np.arange(16) == 3, np.nan, 1.0))
+    with pytest.raises(ValueError):
+        rel_energy_comp(nan, zero, one, zero, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        rel_energy_comp(one, zero, nan, zero, 1.0, 2.0)
 
 
 def test_rel_energy_incomp_oracle(mesh4):

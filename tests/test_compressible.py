@@ -81,6 +81,11 @@ def test_eos_rejects_nonpositive():
         eos_values(np.array([1.0, 0.0]), 2.0)
     with pytest.raises(ValueError):
         eos_values(np.array([-1.0, 1.0, 1.0, 1.0]), 2.0)
+    # a NaN density is not positive either
+    with pytest.raises(ValueError):
+        eos_values(np.array([1.0, np.nan]), 2.0)
+    with pytest.raises(ValueError):
+        psi_values(np.array([1.0, np.nan]), 2.0)
 
 
 def test_total_energy_constant_state(mesh4):
@@ -151,6 +156,11 @@ def test_state_rejects_nonpositive_density(mesh4):
     with pytest.raises(ValueError):
         CompState(t=0.0, rho=cell_scalar(mesh4, 0.0),
                   u=cell_vector(mesh4, (0.0, 0.0)))
+    rho = np.ones(mesh4.ncells)
+    rho[1] = np.nan
+    with pytest.raises(ValueError):
+        CompState(t=0.0, rho=CellScalar(mesh4, rho),
+                  u=cell_vector(mesh4, (0.0, 0.0)))
 
 
 def test_eta_rule_values(mesh4):
@@ -160,6 +170,12 @@ def test_eta_rule_values(mesh4):
     assert eta_rule(cell_scalar(mesh4, 1.0), eta_margin=1.0) == pytest.approx(1.5)
     # eta * rho_min > 3/2 strictly with the default margin
     assert eta_rule(cell_scalar(mesh4, 1.0), margin) * 1.0 > 1.5
+    # a density that is not positive has no eta, NaN included
+    rho = np.ones(mesh4.ncells)
+    for bad in (0.0, np.nan):
+        rho[1] = bad
+        with pytest.raises(ValueError):
+            eta_rule(CellScalar(mesh4, rho), margin)
 
 
 def test_stabilization_scaling(mesh16):
@@ -291,7 +307,8 @@ def test_density_picard_window_violation_raises(mesh16, monkeypatch):
 
 def test_density_picard_sweep_budget_raises(mesh16, monkeypatch):
     monkeypatch.setattr(compressible, "PICARD_MAX_ITER", 1)
-    cfg = CompConfig(eps=1e-2, t_final=1.0, dt_max=1.0, picard_tol=1e-15)
+    monkeypatch.setattr(compressible, "PICARD_TOL", 1e-15)
+    cfg = CompConfig(eps=1e-2, t_final=1.0, dt_max=1.0)
     state = _well_prepared_state(mesh16, 1e-2)
     with pytest.raises(RuntimeError, match="Picard"):
         density_picard(state.rho, state.u, 8e-4, cfg)
