@@ -13,7 +13,7 @@ import sys
 
 from .config import (
     ConfigError,
-    default_config,
+    ExperimentConfig,
     load_config,
     parse_config_text,
     render_config,
@@ -41,15 +41,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", metavar="DIR", help="override output directory")
     run.add_argument("--workers", type=int, metavar="N",
                      help="sweep cells run at a time, each in its own process")
-    run.add_argument("--print-defaults", action="store_true",
-                     help="print the built-in defaults and exit")
     run.add_argument("--print-config", action="store_true",
                      help="print the effective config and exit")
     return parser
 
 
 def _effective_config(args):
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
     overrides = []
     if args.mode is not None:
         overrides.append(f"mode = {args.mode}")
@@ -72,10 +70,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:   # argparse exits 2; here 2 means failed cells
         return 1 if exc.code else 0
-
-    if args.print_defaults:
-        print(render_config(default_config()), end="")
-        return 0
 
     try:
         cfg = _effective_config(args)

@@ -77,26 +77,29 @@ TRANSPORT_TOL = 1e-12
 #: admissible density window of an accepted Picard iterate
 RHO_LO = 1e-6
 RHO_HI = 1e6
+#: stabilization margin over the 3 / (2 min rho) of the stability rule, and
+#: the fraction of the sufficient time-step bound a step takes; both schemes
+ETA_MARGIN = 1.01
+CFL_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme parameters the compressible and limit schemes share."""
+    """Scheme parameters the compressible and limit schemes share: the
+    whole of a limit run's config (``incompressible.IncompConfig``)."""
 
-    eta_margin: float = 1.01
-    cfl_fraction: float = 0.9
     t_final: float = 0.02
     dt_max: float | None = None          # default: t_final / 50
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.cfl_fraction <= 1.0:
-            raise ValueError(f"cfl_fraction must lie in (0,1], got {self.cfl_fraction}")
-        if not self.eta_margin >= 1.0:
-            raise ValueError(f"eta_margin must be >= 1, got {self.eta_margin}")
+        # a zero or negative t_final shows as the dt_max it implies
+        if not math.isfinite(self.t_final):
+            raise ValueError(f"t_final must be finite, got {self.t_final}")
         if self.dt_max is None:
             object.__setattr__(self, "dt_max", self.t_final / 50.0)
-        if not self.dt_max > 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
+        if not 0.0 < self.dt_max < math.inf:
+            raise ValueError(
+                f"dt_max must be positive and finite, got {self.dt_max}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +110,12 @@ class CompConfig(SchemeConfig):
     eps: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError(
+                f"gamma must exceed 1 and be finite, got {self.gamma}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(
+                f"eps must be positive and finite, got {self.eps}")
         super().__post_init__()
 
 
@@ -241,15 +246,16 @@ def init_comp(rho0, u0, mesh: Mesh, eps: float,
     return state
 
 
-def _eta(rho_min: float, eta_margin: float) -> float:
-    """eta = margin * 3 / (2 rho_min), the stability rule of both schemes."""
-    return eta_margin * 1.5 / rho_min
+def _eta(rho_min: float) -> float:
+    """eta = ETA_MARGIN * 3 / (2 rho_min), the stability rule of both
+    schemes."""
+    return ETA_MARGIN * 1.5 / rho_min
 
 
-def eta_rule(rho_n: CellScalar, eta_margin: float) -> float:
-    """Stabilization coefficient eta = margin * 3 / (2 min_K rho^n_K)."""
+def eta_rule(rho_n: CellScalar) -> float:
+    """Stabilization coefficient eta = ETA_MARGIN * 3 / (2 min_K rho^n_K)."""
     _check_positive(rho_n.values)
-    return _eta(float(rho_n.values.min()), eta_margin)
+    return _eta(float(rho_n.values.min()))
 
 
 def stabilization(mesh: Mesh, rho: np.ndarray, dt: float, eta: float,
@@ -263,14 +269,14 @@ def stabilization(mesh: Mesh, rho: np.ndarray, dt: float, eta: float,
 
 
 def face_dt_bound(mesh: Mesh, u: np.ndarray, g: np.ndarray, coef: float,
-                  rhs, config) -> float:
+                  rhs, dt_max: float) -> float:
     """Largest dt with the sufficient per-face energy bound of both schemes.
 
     Per face sigma = K|L the bound reads
     dt * max(|bd K|/|K|, |bd L|/|L|) * (|{{u}}| + sqrt(coef |{{g}}|)) <= rhs,
     where ``u`` and ``g`` are per-cell (ncells, 2) arrays averaged onto the
     face and ``rhs > 0`` is a scalar or one value per face, (2, ny, nx).
-    The result is scaled by cfl_fraction and capped at dt_max.
+    The result is scaled by CFL_FRACTION and capped at ``dt_max``.
     """
     # max(|bd K|/|K|, |bd L|/|L|), the same for every face of the uniform grid
     geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
@@ -285,8 +291,8 @@ def face_dt_bound(mesh: Mesh, u: np.ndarray, g: np.ndarray, coef: float,
     denom /= rhs
     worst = float(denom.max())
     if worst == 0.0:
-        return float(config.dt_max)
-    return float(min(config.cfl_fraction * (1.0 / worst), config.dt_max))
+        return float(dt_max)
+    return float(min(CFL_FRACTION * (1.0 / worst), dt_max))
 
 
 def _face_magnitude(mesh: Mesh, w: np.ndarray) -> np.ndarray:
@@ -304,15 +310,15 @@ def _face_magnitude(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def comp_dt(state: CompState, config: CompConfig) -> float:
+def comp_dt(state: CompState, eta: float, config: CompConfig) -> float:
     """Largest admissible dt from ``face_dt_bound`` at t^n with
     coef = eta/eps^2, g = grad p(rho^n) and the density-ratio right-hand side
-    min(1, min(rho_K, rho_L) / (3 max(rho_K, rho_L))), all explicit at t^n.
+    min(1, min(rho_K, rho_L) / (3 max(rho_K, rho_L))), all explicit at t^n;
+    ``eta`` is ``eta_rule(state.rho)``.
 
     The min with 1 never binds: for positive densities the ratio min/max is
     at most 1, so the right-hand side is at most 1/3 and is passed as is."""
     mesh = state.mesh
-    eta = eta_rule(state.rho, config.eta_margin)
     gp = state.gp
     if gp is None:
         gp = grad_values(mesh, eos_values(state.rho.values, config.gamma))
@@ -321,7 +327,7 @@ def comp_dt(state: CompState, config: CompConfig) -> float:
     rl = _neighbour(rk, rk)
     ratio = np.minimum(rk, rl) / np.maximum(rk, rl)
     return face_dt_bound(mesh, state.u.values, gp, eta / config.eps**2,
-                         ratio / 3.0, config)
+                         ratio / 3.0, config.dt_max)
 
 
 def _spectral_divide(q: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -337,8 +343,8 @@ def _spectral_divide(q: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=q.shape[1], axis=1).reshape(-1)
 
 
-def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
-                   config: CompConfig) -> tuple[CellScalar, EdgeSplit, float, SolveReport]:
+def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
+                   config: CompConfig) -> tuple[CellScalar, EdgeSplit, SolveReport]:
     """Solve the implicit mass balance by a stabilized Picard iteration.
 
     Each sweep freezes the upwind split at the current density iterate and
@@ -353,13 +359,12 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
     the max norm, or when the iterate already meets the sweep's residual
     target TRANSPORT_TOL ||b||, accepted unchanged without a linear solve;
     a converged reference run monkeypatches both constants, e.g. to 1e-14.
-    Returns the converged density, the frozen split of the accepting sweep
-    (so the momentum update reuses the identical flux), the eta used, and
-    the last linear solve report.
+    ``eta`` is ``eta_rule(rho_n)``.  Returns the converged density, the
+    frozen split of the accepting sweep (so the momentum update reuses the
+    identical flux), and the last linear solve report.
     """
     mesh = rho_n.mesh
     grid = (mesh.ny, mesh.nx)
-    eta = eta_rule(rho_n, config.eta_margin)
     rho_l = rho_n.values.copy()
     coef = eta * dt * dt / config.eps**2
     un = edge_normal_values(mesh, u_n.values)
@@ -461,7 +466,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float,
     report = PicardReport(iterations=report.iterations,
                           residual=report.residual,
                           converged=report.converged, sweeps=it)
-    return CellScalar(mesh, rho_l), split, eta, report
+    return CellScalar(mesh, rho_l), split, report
 
 
 def upwind_momentum(m: np.ndarray, q: np.ndarray, g: np.ndarray,
@@ -511,13 +516,16 @@ def comp_step(state: CompState, config: CompConfig,
     mesh = state.mesh
     eps, gamma = config.eps, config.gamma
 
-    dt_bound = comp_dt(state, config)
+    # one eta for the bound, the density solve and the dissipation
+    eta = eta_rule(state.rho)
+    dt_bound = comp_dt(state, eta, config)
     dt = dt_bound if dt_cap is None else min(dt_bound, dt_cap)
 
     e_prev = state.energy
     if e_prev is None:
         e_prev = total_energy(state.rho, state.u, eps, gamma)
-    rho_new, split, eta, report = density_picard(state.rho, state.u, dt, config)
+    rho_new, split, report = density_picard(state.rho, state.u, dt, eta,
+                                            config)
     # rho^gamma once, for grad p and both energies
     p_new = eos_values(rho_new.values, gamma)
     gp_new = grad_values(mesh, p_new)

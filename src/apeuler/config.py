@@ -21,7 +21,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "MODES",
-    "default_config",
     "parse_config_text",
     "load_config",
     "render_config",
@@ -47,9 +46,11 @@ def eps_tag(eps: float) -> str:
 class ExperimentConfig:
     """What defines a study, plus where it is written and on how many
     processes.  A field named like a ``CompConfig`` or ``IncompConfig`` field
-    (``eps`` aside) takes its default from there or their ``SchemeConfig``
-    base and is passed through to the per-run configs untouched; how exactly
-    the inner solves converge is left to those configs' defaults."""
+    (``eps`` aside) takes its default from there and is passed through to
+    the per-run configs untouched.  How a run is stepped is fixed by the
+    schemes: the stabilization margin and the time-step fraction are
+    ``compressible.ETA_MARGIN`` and ``CFL_FRACTION``, and each run's step
+    cap is its config's default ``dt_max = t_final / 50``."""
 
     mode: str = "compressible"
     grids: tuple[int, ...] = (32, 64, 128)
@@ -60,10 +61,6 @@ class ExperimentConfig:
     output_count: int = 10
     outdir: str = "out"
     workers: int = 1
-    # scheme knobs shared by both schemes
-    eta_margin: float = SchemeConfig.eta_margin
-    cfl_fraction: float = SchemeConfig.cfl_fraction
-    dt_max: float | None = SchemeConfig.dt_max
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -98,17 +95,14 @@ class ExperimentConfig:
             raise ConfigError("output_count must be at least 2")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        # the scheme knobs are checked by the per-run configs themselves
+        # gamma, each eps and a finite t_final are checked by the per-run
+        # configs themselves
         try:
             for eps in self.eps:
                 comp_config(self, eps)
             incomp_config(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 #: value parser per field type; list values are comma-separated
@@ -118,7 +112,6 @@ _TYPE_PARSERS = {
     str: str,
     tuple[int, ...]: lambda text: tuple(int(tok) for tok in text.split(",")),
     tuple[float, ...]: lambda text: tuple(float(tok) for tok in text.split(",")),
-    float | None: lambda text: None if text.lower() == "none" else float(text),
 }
 
 _PARSERS = {name: _TYPE_PARSERS[hint]
@@ -146,7 +139,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None,
         except ValueError as exc:
             raise ConfigError(
                 f"{source}:{lineno}: bad value for {key!r}: {exc}") from None
-    cfg = base if base is not None else default_config()
+    cfg = base if base is not None else ExperimentConfig()
     try:
         return replace(cfg, **updates)
     except ConfigError as exc:
@@ -163,8 +156,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _render_value(value) -> str:
-    if value is None:
-        return "none"
     if isinstance(value, tuple):
         return ",".join(_render_value(v) for v in value)
     if isinstance(value, float):

@@ -47,6 +47,7 @@ __all__ = [
     "IncompState",
     "IncompStepDiagnostics",
     "BETA_2D",
+    "ETA",
     "init_incomp",
     "pressure_kernel_basis",
     "pressure_solve",
@@ -60,17 +61,12 @@ __all__ = [
 BETA_2D = 1.0 / 8.0
 #: relative residual the spectral pressure solve must reach
 PRESSURE_TOL = 1e-10
+#: stabilization 1.5 * ETA_MARGIN: the compressible rule at min rho = 1, the
+#: eps -> 0 value of the compressible coefficient
+ETA = _eta(1.0)
 
-
-@dataclass(frozen=True)
-class IncompConfig(SchemeConfig):
-    """Scheme parameters for one incompressible run."""
-
-    @property
-    def eta(self) -> float:
-        """Stabilization 1.5 * eta_margin: the compressible rule at
-        min rho = 1, the eps -> 0 value of the compressible coefficient."""
-        return _eta(1.0, self.eta_margin)
+#: a limit run has no parameters beyond those both schemes share
+IncompConfig = SchemeConfig
 
 
 @dataclass
@@ -178,13 +174,13 @@ def pressure_solve(mesh: Mesh, un: np.ndarray, eta: float,
 
 
 def incomp_dt(state: IncompState, config: IncompConfig) -> float:
-    """Largest admissible dt from ``face_dt_bound`` at t^n with coef = eta,
+    """Largest admissible dt from ``face_dt_bound`` at t^n with coef = ETA,
     g = grad pi^n (the previous step's pressure) and right-hand side
     BETA_2D."""
     mesh = state.mesh
     return face_dt_bound(mesh, state.v.values,
-                         grad_values(mesh, state.pi.values), config.eta,
-                         BETA_2D, config)
+                         grad_values(mesh, state.pi.values), ETA,
+                         BETA_2D, config.dt_max)
 
 
 def incomp_step(state: IncompState, config: IncompConfig,
@@ -198,10 +194,10 @@ def incomp_step(state: IncompState, config: IncompConfig,
     if ke_prev is None:
         ke_prev = kinetic_energy(state.v)
     un = edge_normal_values(mesh, state.v.values)
-    pi_new, report = pressure_solve(mesh, un, config.eta, dt)
+    pi_new, report = pressure_solve(mesh, un, ETA, dt)
 
     gpi = grad_values(mesh, pi_new.values)
-    dn = edge_normal_values(mesh, (config.eta * dt) * gpi)
+    dn = edge_normal_values(mesh, (ETA * dt) * gpi)
     split = split_advective_velocity(mesh, un, dn)
 
     v_new = CellVector(mesh, upwind_momentum(state.v.values, state.v.values,

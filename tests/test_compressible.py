@@ -114,13 +114,16 @@ def test_config_validation():
         CompConfig(gamma=1.0)
     with pytest.raises(ValueError):
         CompConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        CompConfig(cfl_fraction=0.0)
-    with pytest.raises(ValueError):
-        CompConfig(eta_margin=0.99)
+    # a non-finite value would march no steps or solve on NaN
+    for kwargs in ({"gamma": math.inf}, {"eps": math.inf},
+                   {"t_final": math.inf}, {"t_final": math.nan},
+                   {"dt_max": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            CompConfig(**kwargs)
 
 
-@pytest.mark.parametrize("scheme", [CompConfig, IncompConfig])
+@pytest.mark.parametrize("scheme", [CompConfig, IncompConfig],
+                         ids=["CompConfig", "IncompConfig"])
 @pytest.mark.parametrize("kwargs", [
     pytest.param({"dt_max": 0.0}, id="0.0"),
     pytest.param({"dt_max": -1e-3}, id="-0.001"),
@@ -163,19 +166,20 @@ def test_state_rejects_nonpositive_density(mesh4):
                   u=cell_vector(mesh4, (0.0, 0.0)))
 
 
-def test_eta_rule_values(mesh4):
-    margin = CompConfig().eta_margin
-    assert eta_rule(cell_scalar(mesh4, 1.0), margin) == pytest.approx(1.515)
-    assert eta_rule(cell_scalar(mesh4, 2.0), margin) == pytest.approx(0.7575)
-    assert eta_rule(cell_scalar(mesh4, 1.0), eta_margin=1.0) == pytest.approx(1.5)
-    # eta * rho_min > 3/2 strictly with the default margin
-    assert eta_rule(cell_scalar(mesh4, 1.0), margin) * 1.0 > 1.5
+def test_eta_rule_values(mesh4, monkeypatch):
+    assert eta_rule(cell_scalar(mesh4, 1.0)) == pytest.approx(1.515)
+    assert eta_rule(cell_scalar(mesh4, 2.0)) == pytest.approx(0.7575)
+    # eta * rho_min > 3/2 strictly with ETA_MARGIN
+    assert eta_rule(cell_scalar(mesh4, 1.0)) * 1.0 > 1.5
     # a density that is not positive has no eta, NaN included
     rho = np.ones(mesh4.ncells)
     for bad in (0.0, np.nan):
         rho[1] = bad
         with pytest.raises(ValueError):
-            eta_rule(CellScalar(mesh4, rho), margin)
+            eta_rule(CellScalar(mesh4, rho))
+    # the margin is read at call time
+    monkeypatch.setattr(compressible, "ETA_MARGIN", 1.0)
+    assert eta_rule(cell_scalar(mesh4, 1.0)) == 1.5
 
 
 def test_stabilization_scaling(mesh16):
@@ -202,17 +206,17 @@ def test_stabilization_scaling(mesh16):
 def test_comp_dt_uniform_flow_oracle(mesh4):
     # rho = 1, u = (1,0), grad p = 0 on the 4x4 unit mesh:
     # |bd K|/|K| = 1/0.0625 = 16, speed = 1, rhs = 1/3
-    # => bound = 1/48, scaled by cfl_fraction 0.9
+    # => bound = 1/48, scaled by CFL_FRACTION 0.9
     cfg = CompConfig(t_final=1.0, dt_max=1.0)
     state = CompState(0.0, cell_scalar(mesh4, 1.0), cell_vector(mesh4, (1.0, 0.0)))
-    dt = comp_dt(state, cfg)
+    dt = comp_dt(state, eta_rule(state.rho), cfg)
     assert dt == pytest.approx(0.9 / 48.0, rel=1e-14)
 
 
 def test_comp_dt_rest_state_returns_cap(mesh4):
     cfg = CompConfig(t_final=1.0, dt_max=0.125)
     state = CompState(0.0, cell_scalar(mesh4, 1.0), cell_vector(mesh4, (0.0, 0.0)))
-    assert comp_dt(state, cfg) == 0.125
+    assert comp_dt(state, eta_rule(state.rho), cfg) == 0.125
 
 
 def test_comp_dt_stiff_pressure_scales_like_eps(mesh16):
@@ -221,7 +225,7 @@ def test_comp_dt_stiff_pressure_scales_like_eps(mesh16):
     rho = CellScalar(mesh16, 1.0 + 0.1 * np.sin(
         2.0 * np.pi * mesh16.cell_x[:, 0]))
     u = cell_vector(mesh16, (0.0, 0.0))
-    dts = [comp_dt(CompState(0.0, rho, u),
+    dts = [comp_dt(CompState(0.0, rho, u), eta_rule(rho),
                    CompConfig(eps=e, t_final=1e3, dt_max=1e3))
            for e in (1e-1, 1e-2)]
     assert dts[0] / dts[1] == pytest.approx(10.0, rel=1e-12)
@@ -238,8 +242,9 @@ def test_density_picard_solves_original_scheme(mesh16, eps):
     # from rho' itself, i.e. the linearized sweeps share its fixed point
     cfg = CompConfig(eps=eps, t_final=1.0, dt_max=1.0)
     state = _well_prepared_state(mesh16, eps)
-    dt = comp_dt(state, cfg)
-    rho_new, split, eta, report = density_picard(state.rho, state.u, dt, cfg)
+    eta = eta_rule(state.rho)
+    dt = comp_dt(state, eta, cfg)
+    rho_new, split, report = density_picard(state.rho, state.u, dt, eta, cfg)
 
     assert report.converged
     assert report.sweeps <= 5
@@ -261,8 +266,9 @@ def test_density_picard_solves_original_scheme(mesh16, eps):
 def test_density_picard_conserves_mass(mesh16, eps):
     cfg = CompConfig(eps=eps, t_final=1.0, dt_max=1.0)
     state = _well_prepared_state(mesh16, eps)
-    dt = comp_dt(state, cfg)
-    rho_new, _, _, _ = density_picard(state.rho, state.u, dt, cfg)
+    eta = eta_rule(state.rho)
+    dt = comp_dt(state, eta, cfg)
+    rho_new, _, _ = density_picard(state.rho, state.u, dt, eta, cfg)
     m0 = float(np.dot(mesh16.cell_vol, state.rho.values))
     m1 = float(np.dot(mesh16.cell_vol, rho_new.values))
     assert abs(m1 - m0) <= 1e-13 * m0
@@ -274,8 +280,8 @@ def test_density_picard_constant_state_is_fixed_point(mesh4):
     cfg = CompConfig(eps=1e-2, t_final=1.0, dt_max=1.0)
     rho = cell_scalar(mesh4, 1.3)
     u = cell_vector(mesh4, (0.7, -0.2))
-    dt = 0.01
-    rho_new, split, eta, report = density_picard(rho, u, dt, cfg)
+    dt, eta = 0.01, eta_rule(rho)
+    rho_new, split, report = density_picard(rho, u, dt, eta, cfg)
     assert (report.sweeps, report.iterations) == (1, 0)
     np.testing.assert_array_equal(rho_new.values, rho.values)
     expect = split_advective_velocity(
@@ -302,7 +308,7 @@ def test_density_picard_window_violation_raises(mesh16, monkeypatch):
     cfg = CompConfig(eps=1.0, t_final=1.0, dt_max=1.0)
     state = _well_prepared_state(mesh16, 1.0)  # max rho ~ 2
     with pytest.raises(RuntimeError, match="window"):
-        density_picard(state.rho, state.u, 1e-3, cfg)
+        density_picard(state.rho, state.u, 1e-3, eta_rule(state.rho), cfg)
 
 
 def test_density_picard_sweep_budget_raises(mesh16, monkeypatch):
@@ -311,7 +317,7 @@ def test_density_picard_sweep_budget_raises(mesh16, monkeypatch):
     cfg = CompConfig(eps=1e-2, t_final=1.0, dt_max=1.0)
     state = _well_prepared_state(mesh16, 1e-2)
     with pytest.raises(RuntimeError, match="Picard"):
-        density_picard(state.rho, state.u, 8e-4, cfg)
+        density_picard(state.rho, state.u, 8e-4, eta_rule(state.rho), cfg)
 
 
 def test_face_dt_bound_matches_interleaved_reference():
@@ -322,7 +328,7 @@ def test_face_dt_bound_matches_interleaved_reference():
     rng = np.random.default_rng(11)
     u, g = rng.standard_normal((2, mesh.ncells, 2))
     rhs = 0.1 + rng.random((2, mesh.ny, mesh.nx))
-    cfg = CompConfig(t_final=1.0, dt_max=1.0)
+    dt_max = 1.0
     coef = 3.0
 
     def face_avg(w):
@@ -333,11 +339,11 @@ def test_face_dt_bound_matches_interleaved_reference():
 
     geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
     denom = geo * (face_avg(u) + np.sqrt(coef * face_avg(g)))
-    expect = min(cfg.cfl_fraction * (1.0 / float((denom / rhs).max())),
-                 cfg.dt_max)
+    expect = min(compressible.CFL_FRACTION
+                 * (1.0 / float((denom / rhs).max())), dt_max)
     for order in ("C", "F"):
         got = face_dt_bound(mesh, np.asarray(u, order=order),
-                            np.asarray(g, order=order), coef, rhs, cfg)
+                            np.asarray(g, order=order), coef, rhs, dt_max)
         assert got == expect
 
 
@@ -472,14 +478,16 @@ def test_comp_step_carries_its_pressure_gradient(mesh16):
     np.testing.assert_array_equal(
         s1.gp, grad_values(mesh16, eos_values(s1.rho.values, cfg.gamma)))
     fresh = replace(s1, gp=None)
-    assert comp_dt(s1, cfg) == comp_dt(fresh, cfg)
+    eta = eta_rule(s1.rho)
+    assert comp_dt(s1, eta, cfg) == comp_dt(fresh, eta, cfg)
     s2, d2 = comp_step(s1, cfg)
     s2_fresh, d2_fresh = comp_step(fresh, cfg)
     assert d2 == d2_fresh
     np.testing.assert_array_equal(s2.u.values, s2_fresh.u.values)
     np.testing.assert_array_equal(s2.gp, s2_fresh.gp)
     # the bound reads the carried value: a steeper gradient, a smaller dt
-    assert comp_dt(replace(s1, gp=1e6 * s1.gp), cfg) < comp_dt(s1, cfg)
+    assert comp_dt(replace(s1, gp=1e6 * s1.gp), eta, cfg) < \
+        comp_dt(s1, eta, cfg)
 
 
 def test_default_output_times():

@@ -10,7 +10,6 @@ from apeuler.config import (
     ExperimentConfig,
     comp_config,
     config_hash,
-    default_config,
     incomp_config,
     load_config,
     parse_config_text,
@@ -19,7 +18,7 @@ from apeuler.config import (
 
 
 def test_defaults_are_valid():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     assert cfg.mode == "compressible"
     assert cfg.grids == (32, 64, 128)
     assert cfg.ref_grid == 512
@@ -34,7 +33,6 @@ def test_parse_overrides_and_comments():
     eps = 1.0, 1e-2
     ref_grid = 64
     workers = 4
-    dt_max = 0.001
     """
     cfg = parse_config_text(text)
     assert cfg.mode == "convergence_study"
@@ -42,16 +40,8 @@ def test_parse_overrides_and_comments():
     assert cfg.eps == (1.0, 1e-2)
     assert cfg.ref_grid == 64
     assert cfg.workers == 4
-    assert cfg.dt_max == 0.001
     # untouched fields keep their defaults
     assert cfg.gamma == 2.0
-
-
-def test_parse_none_for_optional_fields():
-    cfg = parse_config_text("dt_max = none\n")
-    assert cfg.dt_max is None
-    base = parse_config_text("dt_max = 0.5\n")
-    assert parse_config_text("dt_max = NONE\n", base=base).dt_max is None
 
 
 def test_parse_error_reports_line_numbers():
@@ -72,10 +62,15 @@ def test_parse_layers_on_base():
 
 
 #: keys and modes the experiment config no longer has, with the error they
-#: now give: the inner-solver knobs and the limit scheme's own eta are left
-#: to the per-run configs, and the asymptotic study is `compressible`
+#: now give: the inner-solver knobs, the limit scheme's own eta, the
+#: stabilization margin, the time-step fraction and the step cap are fixed
+#: by the schemes, and the asymptotic study is `compressible`
 REMOVED = {
     "eta = 0.5": "unknown key",
+    "eta_margin = 0.9": "unknown key",
+    "cfl_fraction = 1.5": "unknown key",
+    "dt_max = 0": "unknown key",
+    "dt_max = -0.001": "unknown key",
     "picard_max_iter = 0": "unknown key",
     "picard_tol = 1e-9": "unknown key",
     "transport_tol = 1e-9": "unknown key",
@@ -98,13 +93,12 @@ REMOVED = {
     "eps = 1.0,1.0",            # repeated table rows and manifest entries
     "eps = 0.1,0.1000001",      # same run directory comp_k*_eps0.1
     "gamma = 1.0",
+    "gamma = inf",              # NaN pressures, then a failed solve per cell
+    "eps = 1.0,inf",
     "t_final = 0.0",
+    "t_final = inf",            # zero steps, output states stamped t = inf
     "output_count = 1",
     "workers = 0",
-    "dt_max = 0",
-    "dt_max = -0.001",
-    "cfl_fraction = 1.5",
-    "eta_margin = 0.9",
     *REMOVED,
 ])
 def test_validation_rejections(text):
@@ -115,7 +109,7 @@ def test_validation_rejections(text):
 def test_render_parse_roundtrip():
     cfg = parse_config_text(
         "mode = incompressible\ngrids = 16,32\nref_grid = 64\n"
-        "eps = 1.0,0.01\nt_final = 0.015\ndt_max = none\nworkers = 3\n")
+        "eps = 1.0,0.01\nt_final = 0.015\nworkers = 3\n")
     again = parse_config_text(render_config(cfg))
     assert again == cfg
     # every field appears exactly once, in declaration order
@@ -124,8 +118,8 @@ def test_render_parse_roundtrip():
 
 
 def test_config_hash_stability_and_sensitivity():
-    a = default_config()
-    assert config_hash(a) == config_hash(default_config())
+    a = ExperimentConfig()
+    assert config_hash(a) == config_hash(ExperimentConfig())
     assert len(config_hash(a)) == 16
     # where and on how many processes a study runs does not name its results
     assert config_hash(parse_config_text("outdir = elsewhere\n")) == \
@@ -134,8 +128,7 @@ def test_config_hash_stability_and_sensitivity():
     # what the study computes does
     assert config_hash(parse_config_text("t_final = 0.01\n")) != \
         config_hash(a)
-    assert config_hash(parse_config_text("eta_margin = 1.1\n")) != \
-        config_hash(a)
+    assert config_hash(parse_config_text("gamma = 1.4\n")) != config_hash(a)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -147,14 +140,10 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_scheme_config_passthrough():
-    cfg = parse_config_text(
-        "gamma = 1.4\nt_final = 0.01\ncfl_fraction = 0.5\n"
-        "eta_margin = 1.2\ndt_max = 0.001\n")
+    cfg = parse_config_text("gamma = 1.4\nt_final = 0.01\n")
     cc = comp_config(cfg, eps=1e-3)
     assert cc.gamma == 1.4 and cc.eps == 1e-3
     ic = incomp_config(cfg)
     for run in (cc, ic):
-        assert run.t_final == 0.01 and run.cfl_fraction == 0.5
-        assert run.eta_margin == 1.2 and run.dt_max == 0.001
-    # the limit scheme's eta is the compressible rule at rho = 1
-    assert ic.eta == 1.5 * cfg.eta_margin
+        # the step cap is the per-run default, t_final / 50
+        assert run.t_final == 0.01 and run.dt_max == 0.01 / 50.0

@@ -18,7 +18,8 @@ import pytest
 import apeuler.cli as cli
 import apeuler.harness as harness
 from apeuler.compressible import StepDiagnostics
-from apeuler.config import config_hash, parse_config_text
+from apeuler.config import (ExperimentConfig, config_hash, parse_config_text,
+                            render_config)
 from apeuler.harness import OutputBundle, run_experiment
 from apeuler.incompressible import IncompStepDiagnostics
 from apeuler.output import format_value
@@ -477,15 +478,16 @@ def test_cli_usage_error_exit_code(argv, code):
 
 
 def test_cli_scheme_knob_out_of_range_is_config_error(tmp_path, capsys):
-    # cfl_fraction > 1 is rejected by the per-run configs: the CLI reports
-    # a config error before any sweep cell runs
+    # gamma = 1 is rejected by the per-run configs, even in a study that
+    # runs only the limit scheme: the CLI reports a config error before any
+    # sweep cell runs
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("mode = incompressible\ncfl_fraction = 1.5\n"
+    cfg_file.write_text("mode = incompressible\ngamma = 1.0\n"
                         + SMALLEST, encoding="utf-8")
     rc = cli.main(["run", "--config", str(cfg_file),
                    "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "cfl_fraction must lie in (0,1]" in capsys.readouterr().err
+    assert "gamma must exceed 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -501,9 +503,13 @@ def test_cli_partial_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_print_defaults_and_config(tmp_path, capsys):
-    assert cli.main(["run", "--print-defaults"]) == 0
+    # without a config file the effective config is the defaults
+    assert cli.main(["run", "--print-config"]) == 0
     defaults = capsys.readouterr().out
-    assert parse_config_text(defaults) == parse_config_text("")
+    assert defaults == render_config(ExperimentConfig())
+    # the flag that printed them alone is gone: a usage error
+    assert cli.main(["run", "--print-defaults"]) == 1
+    capsys.readouterr()
 
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("mode = incompressible\n" + SMALLEST, encoding="utf-8")

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from apeuler import incompressible
 from apeuler.cases import incomp_initial_data
-from apeuler.compressible import CompConfig, CompState, comp_dt, eta_rule
+from apeuler.compressible import (CFL_FRACTION, CompConfig, CompState,
+                                  comp_dt, eta_rule)
 from apeuler.fields import CellScalar, CellVector, cell_scalar
 from apeuler.incompressible import (
     BETA_2D,
+    ETA,
     IncompConfig,
     IncompState,
     incomp_dt,
@@ -72,12 +74,13 @@ def _pressure(v: CellVector, eta: float, dt: float) -> CellScalar:
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IncompConfig(eta_margin=0.99)
-    with pytest.raises(ValueError):
-        IncompConfig(cfl_fraction=1.5)
+    for kwargs in ({"t_final": math.inf}, {"dt_max": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            IncompConfig(**kwargs)
     assert IncompConfig(t_final=1.0).dt_max == pytest.approx(0.02)
-    assert IncompConfig().eta == pytest.approx(1.515)
+    # the compressible rule at rho = 1
+    assert ETA == pytest.approx(1.515)
+    assert ETA == eta_rule(cell_scalar(Mesh(MeshSpec(2, 2)), 1.0))
 
 
 def test_beta_constants():
@@ -229,7 +232,7 @@ def test_incomp_dt_matches_hypot_formula(rng, eps):
         state = IncompState(0.0, CellVector(mesh, u),
                             CellScalar(mesh, rng.standard_normal(mesh.ncells)))
         g = grad_values(mesh, state.pi.values)
-        coef, rhs = cfg.eta, (BETA_2D, BETA_2D)
+        coef, rhs = ETA, (BETA_2D, BETA_2D)
         dt = incomp_dt(state, cfg)
     else:
         cfg = CompConfig(eps=eps, t_final=1.0, dt_max=1.0)
@@ -237,11 +240,12 @@ def test_incomp_dt_matches_hypot_formula(rng, eps):
                                                             mesh.ncells)),
                           CellVector(mesh, u))
         g = grad_values(mesh, state.rho.values ** cfg.gamma)
-        coef = eta_rule(state.rho, cfg.eta_margin) / eps**2
+        eta = eta_rule(state.rho)
+        coef = eta / eps**2
         r = state.rho.values.reshape(mesh.ny, mesh.nx)
         rhs = [np.minimum(1.0, np.minimum(r, rn) / (3.0 * np.maximum(r, rn)))
                for rn in (np.roll(r, -1, axis=1), np.roll(r, -1, axis=0))]
-        dt = comp_dt(state, cfg)
+        dt = comp_dt(state, eta, cfg)
     v = u.reshape(mesh.ny, mesh.nx, 2)
     g = g.reshape(mesh.ny, mesh.nx, 2)
     geo = 2.0 * (mesh.hx + mesh.hy) / (mesh.hx * mesh.hy)
@@ -252,7 +256,7 @@ def test_incomp_dt_matches_hypot_formula(rng, eps):
         speed = np.hypot(va[..., 0], va[..., 1]) + np.sqrt(
             coef * np.hypot(ga[..., 0], ga[..., 1]))
         bounds.append(np.min(r / (geo * speed)))
-    expect = cfg.cfl_fraction * min(bounds)
+    expect = CFL_FRACTION * min(bounds)
     assert dt == pytest.approx(expect, rel=1e-14)
 
 
