@@ -48,17 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _effective_config(args):
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = []
-    if args.mode is not None:
-        overrides.append(f"mode = {args.mode}")
-    if args.grids is not None:
-        overrides.append(f"grids = {args.grids}")
-    if args.eps is not None:
-        overrides.append(f"eps = {args.eps}")
-    if args.out is not None:
-        overrides.append(f"outdir = {args.out}")
-    if args.workers is not None:
-        overrides.append(f"workers = {args.workers}")
+    overrides = [f"{key} = {value}" for key, value in (
+        ("mode", args.mode), ("grids", args.grids), ("eps", args.eps),
+        ("outdir", args.out), ("workers", args.workers)) if value is not None]
     if overrides:
         cfg = parse_config_text("\n".join(overrides), base=cfg,
                                 source="<command line>")

@@ -92,9 +92,9 @@ class SchemeConfig:
     dt_max: float | None = None          # default: t_final / 50
 
     def __post_init__(self) -> None:
-        # a zero or negative t_final shows as the dt_max it implies
-        if not math.isfinite(self.t_final):
-            raise ValueError(f"t_final must be finite, got {self.t_final}")
+        if not 0.0 < self.t_final < math.inf:
+            raise ValueError(
+                f"t_final must be positive and finite, got {self.t_final}")
         if self.dt_max is None:
             object.__setattr__(self, "dt_max", self.t_final / 50.0)
         if not 0.0 < self.dt_max < math.inf:
@@ -555,8 +555,6 @@ def comp_step(state: CompState, config: CompConfig,
 
 def default_output_times(t_final: float, count: int = 10) -> np.ndarray:
     """Initial and final time plus equispaced intermediates."""
-    if t_final == 0.0 or count < 2:
-        return np.array([0.0])
     return np.linspace(0.0, t_final, count)
 
 

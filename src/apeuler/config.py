@@ -45,10 +45,8 @@ def eps_tag(eps: float) -> str:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What defines a study, plus where it is written and on how many
-    processes.  A field named like a ``CompConfig`` or ``IncompConfig`` field
-    (``eps`` aside) takes its default from there and is passed through to
-    the per-run configs untouched.  How a run is stepped is fixed by the
-    schemes: the stabilization margin and the time-step fraction are
+    processes.  How a run is stepped is fixed by the schemes: the
+    stabilization margin and the time-step fraction are
     ``compressible.ETA_MARGIN`` and ``CFL_FRACTION``, and each run's step
     cap is its config's default ``dt_max = t_final / 50``."""
 
@@ -89,14 +87,12 @@ class ExperimentConfig:
         if len(set(tags)) < len(tags):
             raise ConfigError(f"eps entries must differ in six significant "
                               f"digits, their output tags: {', '.join(tags)}")
-        if not self.t_final > 0.0:
-            raise ConfigError(f"t_final must be positive, got {self.t_final}")
         if self.output_count < 2:
             raise ConfigError("output_count must be at least 2")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        # gamma, each eps and a finite t_final are checked by the per-run
-        # configs themselves
+        # gamma, each eps and t_final are checked by the per-run configs
+        # themselves
         try:
             for eps in self.eps:
                 comp_config(self, eps)
@@ -180,15 +176,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _shared(cfg: ExperimentConfig, scheme: type) -> dict:
-    """The values of ``cfg`` for the fields it shares with ``scheme``."""
-    return {f.name: getattr(cfg, f.name) for f in fields(scheme)
-            if f.name in _PARSERS}
-
-
 def comp_config(cfg: ExperimentConfig, eps: float) -> CompConfig:
-    return CompConfig(**{**_shared(cfg, CompConfig), "eps": eps})
+    return CompConfig(t_final=cfg.t_final, gamma=cfg.gamma, eps=eps)
 
 
 def incomp_config(cfg: ExperimentConfig) -> IncompConfig:
-    return IncompConfig(**_shared(cfg, IncompConfig))
+    return IncompConfig(t_final=cfg.t_final)

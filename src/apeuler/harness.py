@@ -18,8 +18,8 @@ studies' cells once.  Each cell writes its run files itself, once, into the
 first bundle that lists it and copies them into the others; then each
 study's tables and manifest are written from the shared results.  A
 failure, in the run or in writing its files, is caught in its cell,
-recorded in every bundle that needs the cell, leaves no run files of the
-cell in any of them, and blocks no other cell or table.  All files land
+recorded once for every study that needs the cell, leaves no run files of
+the cell in any bundle, and blocks no other cell or table.  All files land
 under the configured output directory with the config hash stamped in.
 
 A cell's run files go to ``runs/<scheme>_k<grid>[_eps<tag>]``:
@@ -75,16 +75,13 @@ __all__ = ["OutputBundle", "run_experiment", "density_sup_rows",
 
 @dataclass
 class OutputBundle:
-    """What a study produced: file paths plus any failed sweep cells."""
+    """What an experiment produced: file paths plus any failed sweep cells,
+    a cell listed once for each study that needs it."""
 
     outdir: Path
     config_hash: str
     files: list[Path] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _job(cfg: ExperimentConfig, key: tuple) -> Trajectory:
@@ -377,22 +374,20 @@ def _studies(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def _write_bundle(cfg: ExperimentConfig, chash: str, outdir: Path, cells,
-                  tables_fn, results: dict, failures: dict) -> OutputBundle:
+                  tables_fn, results: dict) -> list[Path]:
     """Write one study's nonempty tables and its manifest, which also lists
-    the run files the sweep wrote for the study's finished cells."""
-    cells = dict.fromkeys(cells)
+    the run files the sweep wrote for the study's finished cells; returns
+    the paths of all of them."""
     own = {key: results[key] for key in cells if key in results}
-    bundle = OutputBundle(outdir=outdir, config_hash=chash, failures=[
-        failures[key] for key in cells if key in failures])
-    for key in sorted(own, key=lambda k: _names(k)[0]):
-        bundle.files += [outdir / rel for rel in own[key][1]]
+    files = [outdir / rel for key in sorted(own, key=lambda k: _names(k)[0])
+             for rel in own[key][1]]
     trajs = {key: traj for key, (traj, _) in own.items()}
-    bundle.files += [write_csv(outdir / "tables" / name, columns, rows, chash)
-                     for name, (columns, rows) in tables_fn(cfg, trajs) if rows]
-    rel = sorted(str(p.relative_to(outdir)) for p in bundle.files)
-    bundle.files.append(write_csv(outdir / "manifest.csv", ["file"],
-                                  [(r,) for r in rel], chash))
-    return bundle
+    files += [write_csv(outdir / "tables" / name, columns, rows, chash)
+              for name, (columns, rows) in tables_fn(cfg, trajs) if rows]
+    rel = sorted(str(p.relative_to(outdir)) for p in files)
+    files.append(write_csv(outdir / "manifest.csv", ["file"],
+                           [(r,) for r in rel], chash))
+    return files
 
 
 def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
@@ -404,8 +399,9 @@ def run_experiment(cfg: ExperimentConfig) -> OutputBundle:
     results, failures = _sweep(cfg, dict.fromkeys(
         key for _, cells, _ in studies for key in cells))
     chash = config_hash(cfg)
-    bundles = [_write_bundle(cfg, chash, *study, results, failures)
-               for study in studies]
+    files = [path for study in studies
+             for path in _write_bundle(cfg, chash, *study, results)]
     return OutputBundle(outdir=Path(cfg.outdir), config_hash=chash,
-                        files=[p for b in bundles for p in b.files],
-                        failures=[f for b in bundles for f in b.failures])
+                        files=files, failures=[
+                            failures[key] for _, cells, _ in studies
+                            for key in cells if key in failures])

@@ -29,7 +29,7 @@ import numpy as np
 from .compressible import (SchemeConfig, Trajectory, _energy_check, _eta,
                            _march, face_dt_bound, upwind_momentum)
 from .fields import CellScalar, CellVector
-from .linsolve import SolveReport
+from .linsolve import SolveReport, _norm
 from .mesh import Mesh
 from .operators import (
     _face_divergence,
@@ -160,12 +160,12 @@ def pressure_solve(mesh: Mesh, un: np.ndarray, eta: float,
     spec = np.fft.rfft2(b.reshape(shape))
     spec[s == 0.0] = 0.0
     b_defl = np.fft.irfft2(spec, s=shape).reshape(-1)
-    removed = float(np.linalg.norm(b - b_defl))
-    bnorm = float(np.linalg.norm(b_defl))
+    removed = _norm(b - b_defl)
+    bnorm = _norm(b_defl)
 
     np.divide(spec, s, out=spec, where=s > 0.0)
     x = np.fft.irfft2(spec, s=shape).reshape(-1)
-    residual = float(np.linalg.norm(b_defl + coeff * laplace_values(mesh, x)))
+    residual = _norm(b_defl + coeff * laplace_values(mesh, x))
     if not residual <= PRESSURE_TOL * bnorm:
         raise RuntimeError(
             f"pressure solve missed its tolerance: residual {residual:.3e} "

@@ -365,6 +365,19 @@ def test_runtime_imports_leave_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_analysis_import_leaves_the_study_modules_out():
+    # the package is its modules: importing one loads only what it imports
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import apeuler.analysis, sys; "
+            "print(sorted(m for m in sys.modules if m in ("
+            "'apeuler.harness', 'apeuler.config', 'apeuler.cli', "
+            "'apeuler.output')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # error suite
 # ---------------------------------------------------------------------------

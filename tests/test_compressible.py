@@ -124,17 +124,29 @@ def test_config_validation():
 
 @pytest.mark.parametrize("scheme", [CompConfig, IncompConfig],
                          ids=["CompConfig", "IncompConfig"])
-@pytest.mark.parametrize("kwargs", [
-    pytest.param({"dt_max": 0.0}, id="0.0"),
-    pytest.param({"dt_max": -1e-3}, id="-0.001"),
-    # the default dt_max = t_final / 50 is checked too
-    pytest.param({"t_final": 0.0}, id="t_final=0.0"),
-    pytest.param({"t_final": -1.0}, id="t_final=-1.0"),
+@pytest.mark.parametrize("kwargs, field", [
+    pytest.param({"dt_max": 0.0}, "dt_max", id="0.0"),
+    pytest.param({"dt_max": -1e-3}, "dt_max", id="-0.001"),
+    # the default dt_max = t_final / 50 would be nonpositive too; the end
+    # time is rejected first, by name
+    pytest.param({"t_final": 0.0}, "t_final", id="t_final=0.0"),
+    pytest.param({"t_final": -1.0}, "t_final", id="t_final=-1.0"),
 ])
-def test_scheme_config_rejects_nonpositive_dt_max(scheme, kwargs):
+def test_scheme_config_rejects_nonpositive_dt_max(scheme, kwargs, field):
     # a zero cap would march with dt = 0 forever
-    with pytest.raises(ValueError, match="dt_max"):
+    with pytest.raises(ValueError, match=field):
         scheme(**kwargs)
+
+
+@pytest.mark.parametrize("scheme", [CompConfig, IncompConfig],
+                         ids=["CompConfig", "IncompConfig"])
+@pytest.mark.parametrize("t_final", [0.0, -1.0],
+                         ids=["t_final=0.0", "t_final=-1.0"])
+def test_scheme_config_rejects_nonpositive_t_final(scheme, t_final):
+    # with an explicit cap a negative end time would march no steps and
+    # stamp the output states with negative times
+    with pytest.raises(ValueError, match="t_final"):
+        scheme(t_final=t_final, dt_max=0.1)
 
 
 def test_config_default_dt_max():
@@ -493,7 +505,6 @@ def test_comp_step_carries_its_pressure_gradient(mesh16):
 def test_default_output_times():
     np.testing.assert_allclose(default_output_times(1.0, 5),
                                [0.0, 0.25, 0.5, 0.75, 1.0])
-    np.testing.assert_array_equal(default_output_times(0.0), [0.0])
 
 
 def test_run_comp_lands_on_output_times(mesh16):

@@ -47,7 +47,7 @@ def _manifest_entries(outdir: Path) -> list[str]:
 def test_study_a_layout_and_manifest(tmp_path):
     cfg = _cfg(TINY, tmp_path / "a")
     bundle = run_experiment(cfg)
-    assert bundle.ok
+    assert not bundle.failures
     out = bundle.outdir
 
     for g in (4, 8, 16):
@@ -76,7 +76,7 @@ def test_study_a_layout_and_manifest(tmp_path):
 def test_study_b_layout_and_tables(tmp_path):
     cfg = _cfg(TINY, tmp_path / "b", extra="mode = incompressible\n")
     bundle = run_experiment(cfg)
-    assert bundle.ok
+    assert not bundle.failures
     out = bundle.outdir
 
     for g in (4, 8, 16):
@@ -114,7 +114,7 @@ def test_tables_are_the_row_functions_written_out(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_sweep", sweep)
     cfg = _cfg(TINY, tmp_path / "t", extra="mode = convergence_study\n")
     bundle = run_experiment(cfg)
-    assert bundle.ok
+    assert not bundle.failures
     trajs = {key: traj for key, (traj, _) in swept["results"].items()}
     for sub, tables_fn in (("comp", harness._comp_tables),
                            ("incomp", harness._incomp_tables)):
@@ -144,7 +144,7 @@ def test_run_files_are_the_trajectories_written_out(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_sweep", sweep)
     bundle = run_experiment(_cfg(SMALLEST, tmp_path / "r",
                                  extra="mode = convergence_study\n"))
-    assert bundle.ok
+    assert not bundle.failures
     checked = Counter()
     for key, (traj, rel) in swept["results"].items():
         final = traj.states[-1]
@@ -186,7 +186,7 @@ def test_run_files_are_the_trajectories_written_out(tmp_path, monkeypatch):
 def test_run_experiment_dispatch(tmp_path):
     cfg = _cfg(SMALLEST, tmp_path / "c", extra="mode = convergence_study\n")
     bundle = run_experiment(cfg)
-    assert bundle.ok
+    assert not bundle.failures
     assert (tmp_path / "c" / "comp" / "manifest.csv").exists()
     assert (tmp_path / "c" / "incomp" / "manifest.csv").exists()
     assert (tmp_path / "c" / "incomp" / "tables" / "errors_incomp.csv").exists()
@@ -224,7 +224,7 @@ def test_convergence_study_runs_each_cell_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "write_field_csv", write_fields)
     bundle = run_experiment(_cfg(SMALLEST, tmp_path / "n",
                                  extra="mode = convergence_study\n"))
-    assert bundle.ok
+    assert not bundle.failures
     assert calls == {("incomp", 4): 1, ("incomp", 8): 1,
                      ("comp", 4, 1.0): 1, ("comp", 8, 1.0): 1}
     assert fields == {"incomp_k4": 1, "incomp_k8": 1, "comp_k4_eps1": 1,
@@ -265,7 +265,7 @@ def test_worker_count_does_not_change_results(tmp_path, mode):
                              extra=f"mode = {mode}\nworkers = 1\n"))
     b3 = run_experiment(_cfg(TINY, tmp_path / "w3",
                              extra=f"mode = {mode}\nworkers = 3\n"))
-    assert b1.ok and b3.ok
+    assert not b1.failures and not b3.failures
     rel1 = {p.relative_to(b1.outdir): p for p in b1.files}
     rel3 = {p.relative_to(b3.outdir): p for p in b3.files}
     assert rel1.keys() == rel3.keys()
@@ -281,7 +281,7 @@ def test_worker_count_does_not_change_results(tmp_path, mode):
 @pytest.mark.parametrize("mode, subdirs, failed_grids, workers", [
     pytest.param("compressible", [""], [4, 8, 16], 1, id="compressible"),
     # the comp bundle needs eps = 0.01 on every grid, the incomp bundle on
-    # its finest sweep grid; each bundle lists the failures of its own cells
+    # its finest sweep grid; each study lists the failures of its own cells
     pytest.param("convergence_study", ["comp", "incomp"], [4, 8, 16, 8], 1,
                  id="convergence_study"),
     # forked workers inherit the monkeypatch
@@ -304,7 +304,6 @@ def test_sweep_cell_failure_is_isolated(tmp_path, monkeypatch, mode, subdirs,
                extra=f"mode = {mode}\nworkers = {workers}\n")
     bundle = run_experiment(cfg)
 
-    assert not bundle.ok
     assert bundle.failures == [f"comp k={g} eps=0.01: synthetic cell failure"
                                for g in failed_grids]
     out = bundle.outdir / subdirs[0]
@@ -373,7 +372,7 @@ def test_rerun_removes_run_files_of_a_cell_that_now_fails(
     cfg = _cfg(TINY, tmp_path / "re",
                extra=f"mode = convergence_study\nworkers = {workers}\n")
     first = run_experiment(cfg)
-    assert first.ok
+    assert not first.failures
     for sub in ("comp", "incomp"):
         assert (first.outdir / sub / "runs" / "comp_k8_eps0.01"
                 / "diagnostics.csv").is_file()
