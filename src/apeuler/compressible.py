@@ -359,6 +359,11 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
     the max norm, or when the iterate already meets the sweep's residual
     target TRANSPORT_TOL ||b||, accepted unchanged without a linear solve;
     a converged reference run monkeypatches both constants, e.g. to 1e-14.
+    A solve is right-preconditioned by the spectral inverse of
+    I + beta L (L the composed central Laplacian, beta from the mean
+    density) only where the shift is stiff, beta * max(symbol of L) >= 1;
+    below that the inverse is within a factor 2 of the identity and the
+    sweep solves unpreconditioned, which at eps ~ 1 is every sweep.
     ``eta`` is ``eta_rule(rho_n)``.  Returns the converged density, the
     frozen split of the accepting sweep (so the momentum update reuses the
     identical flux), and the last linear solve report.
@@ -369,6 +374,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
     coef = eta * dt * dt / config.eps**2
     un = edge_normal_values(mesh, u_n.values)
     symbol = _laplace_symbol(mesh)
+    symbol_max = float(symbol.max())
     # per-family factors folded into each sweep's face coefficients, so one
     # face sum serves both: ``_face_divergence``'s 1/h, the stencil's 1/(4h)
     h = np.array([mesh.hx, mesh.hy])[:, None, None]
@@ -422,23 +428,28 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
         # tolerance of the full system, which stays reachable in float64
         # even when the shift terms carry h^-2/eps^2 scales
         target = TRANSPORT_TOL * _norm(b)
-        r0 = b - (rho_l + _face_sum(_upwind_flux(rk, wplus, wminus))
-                  - shift_l)
+        # _upwind_flux(rk, wplus, wminus) on the neighbour grid built above
+        flux = rl * wminus
+        flux += rk * wplus
+        r0 = b - (rho_l + _face_sum(flux) - shift_l)
         r0_norm = _norm(r0)
         if r0_norm <= target:
             # the iterate solves this sweep's system: no update to test
             report = SolveReport(0, r0_norm, True)
             break
 
-        # right preconditioner (I - beta div grad)^{-1}: the composed
-        # central Laplacian is diagonal in rfft2 space, and beta >= 0
-        # keeps the shifted operator positive definite
+        # right preconditioner (I - beta div grad)^{-1} where the shift is
+        # stiff: the composed central Laplacian is diagonal in rfft2 space,
+        # and beta >= 0 keeps the shifted operator positive definite
         rho_bar = float(np.dot(mesh.cell_vol, rho_l))   # mean, area 1
         beta = coef * config.gamma * rho_bar ** config.gamma
-        denom = 1.0 + beta * symbol
-        x, report = solve_transport(
-            apply, r0, tol=target / r0_norm,
-            M=lambda q: _spectral_divide(q.reshape(grid), denom))
+        M = None
+        # below 1, 1 + beta * symbol < 2 on every mode: that close to the
+        # identity, its FFTs cost more than the iterations they save
+        if beta * symbol_max >= 1.0:
+            denom = 1.0 + beta * symbol
+            M = lambda q: _spectral_divide(q.reshape(grid), denom)
+        x, report = solve_transport(apply, r0, tol=target / r0_norm, M=M)
         if not report.converged:
             raise RuntimeError(
                 f"transport solve failed in Picard sweep {it}: "

@@ -315,6 +315,72 @@ def test_spectral_divide_matches_rfft2(nx, ny):
                                   expect)
 
 
+def _count_preconditioning(monkeypatch) -> dict:
+    """Count, from here on, the transport solves with and without the
+    spectral preconditioner and its applies."""
+    calls = {"plain": 0, "preconditioned": 0, "applies": 0}
+    spectral_divide = compressible._spectral_divide
+    solve = compressible.solve_transport
+
+    def counting_divide(q, denom):
+        calls["applies"] += 1
+        return spectral_divide(q, denom)
+
+    def counting_solve(A, b, tol, M=None):
+        calls["plain" if M is None else "preconditioned"] += 1
+        return solve(A, b, tol=tol, M=M)
+
+    monkeypatch.setattr(compressible, "_spectral_divide", counting_divide)
+    monkeypatch.setattr(compressible, "solve_transport", counting_solve)
+    return calls
+
+
+@pytest.mark.parametrize("eps, dt_share, stiff", [
+    (1.0, 1.0, False),      # beta * max(symbol) = 9.3e-4
+    (1e-2, 1.0, True),      # 10.2
+    (1e-4, 1.0, True),      # 1.0e5
+    (1e-2, 0.25, False),    # 0.64
+])
+def test_density_picard_preconditions_only_a_stiff_shift(
+        mesh16, monkeypatch, eps, dt_share, stiff):
+    # the FFT preconditioner runs only where 1 + beta * symbol reaches 2 on
+    # some mode; the solve converges to the same tolerance either way
+    cfg = CompConfig(eps=eps, t_final=1.0, dt_max=1.0)
+    state = _well_prepared_state(mesh16, eps)
+    eta = eta_rule(state.rho)
+    dt = dt_share * comp_dt(state, eta, cfg)
+    calls = _count_preconditioning(monkeypatch)
+    _, _, report = density_picard(state.rho, state.u, dt, eta, cfg)
+
+    assert report.converged
+    solves = calls["plain"] + calls["preconditioned"]
+    assert solves >= 1
+    if stiff:
+        assert calls["preconditioned"] == solves
+        assert calls["applies"] >= solves
+    else:
+        assert calls["plain"] == solves
+        assert calls["applies"] == 0
+
+
+def test_run_comp_takes_both_solve_paths(monkeypatch):
+    # at eps = 0.03 on 32^2 the shift turns stiff as dt grows to dt_max, so
+    # one run solves both with and without the preconditioner, and keeps
+    # the scheme's invariants across the switch
+    mesh = Mesh(MeshSpec(32, 32))
+    eps = 0.03
+    state = _well_prepared_state(mesh, eps)
+    calls = _count_preconditioning(monkeypatch)
+    traj = run_comp(CompConfig(eps=eps), mesh, state)
+
+    assert calls["plain"] > 0 and calls["preconditioned"] > 0
+    diags = traj.diagnostics
+    assert all(d.energy_ok for d in diags)
+    assert all(d.rho_min > 0.0 for d in diags)
+    m0 = float(np.dot(mesh.cell_vol, state.rho.values))
+    assert max(abs(d.mass - m0) for d in diags) <= 1e-13 * m0
+
+
 def test_density_picard_window_violation_raises(mesh16, monkeypatch):
     monkeypatch.setattr(compressible, "RHO_HI", 1.0 + 1e-6)
     cfg = CompConfig(eps=1.0, t_final=1.0, dt_max=1.0)
