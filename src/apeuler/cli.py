@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
+
+# One BLAS thread per process, set before the package imports load numpy:
+# each sweep worker is a process of its own, and threaded BLAS calls of
+# several workers contend for the same cores.  A value the user set is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .config import (
     ConfigError,
@@ -40,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override the Mach number list")
     run.add_argument("--out", metavar="DIR", help="override output directory")
     run.add_argument("--workers", type=int, metavar="N",
-                     help="sweep cells run at a time, each in its own process")
+                     help="sweep cells run at a time, each in its own "
+                          "process with one BLAS thread")
     run.add_argument("--print-config", action="store_true",
                      help="print the effective config and exit")
     return parser

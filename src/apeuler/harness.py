@@ -6,11 +6,12 @@ square: the compressible study sweeps (grid, eps) toward the incompressible
 limit, the limit study sweeps grids.  Each table is the ``(columns, rows)``
 of a pure row function of the results, keyed ``("comp", grid, eps)`` /
 ``("incomp", grid)``, for explicit grids and eps lists, one row per
-finished cell; one loop writes them all.  The acceptance gate reads its
-criterion series from these functions on its own runs, so a table and the
-criterion judging it cannot drift apart; only the series no table reports
-(criterion 08's rates between consecutive levels and against the exact
-solution, 10's per-step residual) are computed there.
+finished cell; one loop writes them all.  The acceptance gate runs its
+cells through ``_sweep`` and reads its criterion series from these
+functions, so a table and the criterion judging it cannot drift apart; only
+the series no table reports (criterion 08's rates between consecutive
+levels and against the exact solution, 10's per-step residual) are
+computed there.
 
 A sweep cell is one run: (scheme, grid) for the limit scheme, (scheme,
 grid, eps) for the compressible one.  An experiment runs the union of its

@@ -1,5 +1,16 @@
 """Shared fixtures: small meshes and a seeded generator, plus a constant
-vector-field helper and the transport-LP oracle of W1."""
+vector-field helper and the transport-LP oracle of W1.
+
+The test session runs with one BLAS thread per process, as ``apeuler run``
+and the benchmark do, so the recorded digests do not depend on the core
+count and the acceptance gate's forked workers do not contend for cores.
+The variables are set before numpy is first imported, which is when
+OpenBLAS reads them."""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

@@ -16,6 +16,11 @@ both are stored next to the digests.
 A change that means to move numbers re-records the file.  ``--keep`` on the
 parent and on the change, then ``--compare``, gives each moved file's
 largest change relative to the largest magnitude in its column.
+
+The script, like the test session (``conftest.py``), ``apeuler run`` and the
+benchmark, runs numpy with one BLAS thread, so the digests do not depend on
+the machine's core count.  A threaded ``ddot`` splits its sum by thread,
+which changes the last bits of the 128^2 limit run's kinetic energy.
 """
 
 from __future__ import annotations
@@ -24,9 +29,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+# before numpy is first imported, which is when OpenBLAS reads them
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 

@@ -5,11 +5,13 @@ trends, the singular-limit constraint residuals, and the statistics oracles.
 
 Every criterion is one test that prints a single PASS/FAIL line (visible
 with ``-s``; the test name itself carries the verdict under ``-v``).  The
-solver runs behind the criteria are shared through a session-scoped cache:
-the full gate performs the whole bundled case study at desk scale
-(grids up to 256^2, limit runs up to 512^2) and takes a few minutes.
+solver runs behind the criteria are made once per session, the way
+``apeuler run`` makes them: the ``runs`` fixture sweeps the 21 cells the
+criteria read (grids up to 256^2, limit runs up to 512^2) through
+``harness._sweep`` on two forked workers, which write their run files under
+pytest's temporary directory.  A failed cell fails the gate by its label.
 
-The cache uses the harness's result keys, so criteria 05-10 read their
+The results use the harness's keys, so criteria 05-10 read their
 series from the harness's table row functions, the code behind the bundle
 tables, and assert one row per expected cell: 05 the density sup, 06 the
 velocity gap, 07 E1-E4, 08 the relative energy and the rates against the
@@ -26,15 +28,10 @@ import time
 import numpy as np
 import pytest
 
+from apeuler import harness
 from apeuler.analysis import eoc, restrict_values, w1_empirical
-from apeuler.cases import comp_initial_data, incomp_initial_data
-from apeuler.compressible import (
-    CompConfig,
-    init_comp,
-    run_comp,
-    total_energy,
-    total_entropy,
-)
+from apeuler.compressible import total_energy, total_entropy
+from apeuler.config import ExperimentConfig
 from apeuler.fields import CellScalar, CellVector
 from apeuler.harness import (
     cross_energy_rows,
@@ -45,12 +42,7 @@ from apeuler.harness import (
     rel_energy_rows,
     velocity_gap_rows,
 )
-from apeuler.incompressible import (
-    IncompConfig,
-    init_incomp,
-    kinetic_energy,
-    run_incomp,
-)
+from apeuler.incompressible import kinetic_energy
 from apeuler.mesh import Mesh, MeshSpec
 from apeuler.operators import (
     EdgeSplit,
@@ -62,7 +54,6 @@ from apeuler.operators import (
 from conftest import w1_lp
 
 T_FINAL = 0.02
-OUT_TIMES = np.linspace(0.0, T_FINAL, 10)
 EPS_ALL = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
 EPS_COARSE = (1.0, 1e-2, 1e-4)
 SWEEP_GRIDS = (32, 64, 128)
@@ -82,32 +73,33 @@ REF_GRID = 256
 GAP_ANCHORS = (9.49e-1, 3.15e-2, 8.70e-5, 1.28e-6, 8.55e-7)
 
 
+#: the sweep cells the criteria read, largest grid first so that the
+#: longest runs start first on the two workers
+CELLS = ([("incomp", 512)]
+         + [("comp", 256, eps) for eps in EPS_COARSE] + [("incomp", 256)]
+         + [("comp", g, eps) for g in (128, 64) for eps in EPS_ALL]
+         + [("comp", 32, eps) for eps in EPS_COARSE]
+         + [("incomp", g) for g in (128, 64, 32)])
+
+
 @pytest.fixture(scope="session")
-def runs():
-    """Session cache of trajectories keyed by ('comp', grid, eps) or
-    ('incomp', grid)."""
-    return {}
-
-
-def _comp(runs, grid: int, eps: float):
-    key = ("comp", grid, eps)
-    if key not in runs:
-        mesh = Mesh(MeshSpec(grid, grid))
-        rho0, u0 = comp_initial_data(eps)
-        ic = init_comp(rho0, u0, mesh, eps=eps)
-        cfg = CompConfig(eps=eps, t_final=T_FINAL)
-        runs[key] = run_comp(cfg, mesh, ic, OUT_TIMES)
-    return runs[key]
-
-
-def _incomp(runs, grid: int):
-    key = ("incomp", grid)
-    if key not in runs:
-        mesh = Mesh(MeshSpec(grid, grid))
-        ic = init_incomp(incomp_initial_data(), mesh)
-        runs[key] = run_incomp(IncompConfig(t_final=T_FINAL), mesh, ic,
-                               OUT_TIMES)
-    return runs[key]
+def runs(tmp_path_factory):
+    """Trajectories of ``CELLS`` keyed by ('comp', grid, eps) or
+    ('incomp', grid), run once per session through ``harness._sweep``."""
+    cfg = ExperimentConfig(mode="compressible", grids=(32, 64, 128, 256),
+                           ref_grid=512, eps=EPS_ALL, t_final=T_FINAL,
+                           output_count=10, workers=2,
+                           outdir=str(tmp_path_factory.mktemp("gate")))
+    # a cell no study lists would run with no bundle to write into and fail
+    # only after its whole run
+    [(_, listed, _)] = harness._studies(cfg)
+    assert set(CELLS) <= set(listed), \
+        f"cells no study lists: {[k for k in CELLS if k not in listed]}"
+    results, failures = harness._sweep(cfg, CELLS)
+    if failures:
+        pytest.fail("gate cells failed: " + "; ".join(failures.values()),
+                    pytrace=False)
+    return {key: traj for key, (traj, _) in results.items()}
 
 
 def _verdict(name: str, failures: list, detail: str = "") -> None:
@@ -197,7 +189,7 @@ def test_02_mass_conservation_and_positivity(runs):
     worst = 0.0
     for g in SWEEP_GRIDS:
         for eps in EPS_COARSE:
-            traj = _comp(runs, g, eps)
+            traj = runs[("comp", g, eps)]
             m0 = _initial_mass(traj)
             drift = max(abs(d.mass - m0) for d in traj.diagnostics) / m0
             worst = max(worst, drift)
@@ -214,7 +206,7 @@ def test_03_energy_and_entropy_stability(runs):
     failures = []
     for g in SWEEP_GRIDS:
         for eps in EPS_COARSE:
-            traj = _comp(runs, g, eps)
+            traj = runs[("comp", g, eps)]
             s0 = traj.states[0]
             e_prev = total_energy(s0.rho, s0.u, eps, 2.0)
             s_prev = total_entropy(s0.rho, s0.u, eps, 2.0)
@@ -229,7 +221,7 @@ def test_03_energy_and_entropy_stability(runs):
                     break
                 e_prev, s_prev = d.energy, d.entropy
     for g in (32, 64, 128, 256, 512):
-        traj = _incomp(runs, g)
+        traj = runs[("incomp", g)]
         ke_prev = kinetic_energy(traj.states[0].v)
         for d in traj.diagnostics:
             if d.kinetic_energy > ke_prev * (1.0 + 1e-10):
@@ -242,7 +234,8 @@ def test_03_energy_and_entropy_stability(runs):
 
 def test_04_mach_uniform_time_step(runs):
     failures = []
-    min_dt = {eps: min(d.dt_bound for d in _comp(runs, 64, eps).diagnostics)
+    min_dt = {eps: min(d.dt_bound
+                       for d in runs[("comp", 64, eps)].diagnostics)
               for eps in EPS_ALL}
     ratio = max(min_dt.values()) / min(min_dt.values())
     if ratio >= 3.0:
@@ -254,8 +247,6 @@ def test_04_mach_uniform_time_step(runs):
 def test_05_density_asymptotics(runs):
     failures = []
     eps_list = (1e-1, 1e-2, 1e-3, 1e-4)
-    for eps in eps_list:
-        _comp(runs, 128, eps)
     sups = _series(density_sup_rows(runs, 128, eps_list, 2.0), eps_list,
                    "sup_lgamma")
     for eps, sup in zip(eps_list, sups):
@@ -272,9 +263,6 @@ def test_05_density_asymptotics(runs):
 
 def test_06_velocity_gap_to_limit(runs):
     failures = []
-    _incomp(runs, 128)
-    for eps in EPS_ALL:
-        _comp(runs, 128, eps)
     gaps = _series(velocity_gap_rows(runs, 128, EPS_ALL), EPS_ALL, "l1_gap")
     if not _strictly_decreasing(gaps):
         failures.append("gap not strictly decreasing in eps")
@@ -289,10 +277,6 @@ def test_06_velocity_gap_to_limit(runs):
 
 def test_07_refinement_statistics_decrease(runs):
     failures = []
-    for g in SWEEP_GRIDS + (REF_GRID,):
-        _incomp(runs, g)
-        for eps in (1.0, 1e-2):
-            _comp(runs, g, eps)
     cases = {f"comp eps={eps:g}": error_rows(runs, SWEEP_GRIDS, REF_GRID, eps)
              for eps in (1.0, 1e-2)}
     cases["incomp"] = error_rows(runs, SWEEP_GRIDS, REF_GRID)
@@ -319,12 +303,12 @@ def test_08_limit_scheme_convergence_rate(runs):
     grids = (32, 64, 128, 256, 512)
     errors, errors_exact, hs = [], [], []
     for g, g_fine in zip(grids, grids[1:]):
-        run = _incomp(runs, g)
+        run = runs[("incomp", g)]
         mesh = run.mesh
         v = run.states[-1].v.values
         # consecutive levels: for a first-order scheme ||v_h - R v_{h/2}||
         # ~ C h/2, so the rate is the order itself
-        v_fine = _restricted_velocity(_incomp(runs, g_fine), mesh)
+        v_fine = _restricted_velocity(runs[("incomp", g_fine)], mesh)
         errors.append(lp_norm(CellVector(mesh, v - v_fine.values), 2))
         # the continuous solution of the shear case is stationary, so the
         # projected initial state doubles as the exact final-time solution;
@@ -361,9 +345,6 @@ def test_08_limit_scheme_convergence_rate(runs):
 
 def test_09_cross_scheme_relative_energy(runs):
     failures = []
-    _incomp(runs, REF_GRID)
-    for eps in EPS_COARSE:
-        _comp(runs, REF_GRID, eps)
     values = _series(cross_energy_rows(runs, REF_GRID, EPS_COARSE, 2.0),
                      EPS_COARSE, "rel_energy")
     if not _strictly_decreasing(values):
@@ -377,13 +358,11 @@ def test_10_divergence_residuals(runs):
     failures = []
     worst = 0.0
     for g in (32, 64, 128, 256, 512):
-        traj = _incomp(runs, g)
+        traj = runs[("incomp", g)]
         res = max(d.div_residual for d in traj.diagnostics)
         worst = max(worst, res)
         if res > 1e-9:
             failures.append(f"limit constraint residual {res:.2e} at {g}^2")
-    for eps in EPS_COARSE:
-        _comp(runs, REF_GRID, eps)
     series = _series(div_residual_rows(runs, REF_GRID, EPS_COARSE),
                      EPS_COARSE, "div_l2")
     div = dict(zip(EPS_COARSE, series))

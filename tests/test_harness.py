@@ -1,6 +1,7 @@
 """Sweep orchestration and CLI: file layout, manifest completeness, one run
 per sweep cell, determinism across reruns and worker counts, failure
-isolation, exit codes, and the package names the benchmark tracer wraps."""
+isolation, exit codes, the CLI's one BLAS thread per process, and the
+package names the benchmark tracer wraps."""
 
 import concurrent.futures
 import dataclasses
@@ -8,7 +9,9 @@ import faulthandler
 import importlib.util
 import multiprocessing
 import os
+import subprocess
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -447,6 +450,36 @@ def test_cli_run_success(tmp_path, capsys):
     assert "wrote" in captured.out
     assert f"(config {config_hash(parse_config_text(SMALLEST))})" in captured.out
     assert (tmp_path / "out" / "manifest.csv").exists()
+
+
+def test_cli_pins_one_blas_thread_unless_set():
+    # each sweep worker of apeuler run is a process; threaded BLAS calls of
+    # two workers would contend for the same cores.  Importing the CLI sets
+    # one thread per process and keeps a user's value; the probe prints the
+    # variables when numpy is first imported, which is when OpenBLAS reads
+    # them.
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = textwrap.dedent(f"""
+        import os, sys
+
+        class Probe:
+            def find_spec(self, name, *args):
+                if name == "numpy":
+                    print(*map(os.environ.get, {names}))
+
+        sys.meta_path.insert(0, Probe())
+        import apeuler.cli
+        """)
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+
+    def imported_with(**extra):
+        return subprocess.run([sys.executable, "-c", code], env=env | extra,
+                              capture_output=True, text=True, check=True,
+                              timeout=60).stdout.split()
+
+    assert imported_with() == ["1", "1", "1"]
+    assert imported_with(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
