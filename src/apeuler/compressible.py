@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import CellScalar, CellVector
-from .linsolve import SolveReport, _norm, solve_transport
+from .linsolve import _norm, solve_transport
 from .mesh import Mesh
 from .operators import (
     EdgeSplit,
@@ -171,13 +171,6 @@ class Trajectory:
     times: list
     states: list
     diagnostics: list
-
-
-@dataclass(frozen=True)
-class PicardReport(SolveReport):
-    """Transport-solve report of the accepting sweep, plus the sweep count."""
-
-    sweeps: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +337,7 @@ def _spectral_divide(q: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 
 def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
-                   config: CompConfig) -> tuple[CellScalar, EdgeSplit, SolveReport]:
+                   config: CompConfig) -> tuple[CellScalar, EdgeSplit, int, int]:
     """Solve the implicit mass balance by a stabilized Picard iteration.
 
     Each sweep freezes the upwind split at the current density iterate and
@@ -366,7 +359,10 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
     sweep solves unpreconditioned, which at eps ~ 1 is every sweep.
     ``eta`` is ``eta_rule(rho_n)``.  Returns the converged density, the
     frozen split of the accepting sweep (so the momentum update reuses the
-    identical flux), and the last linear solve report.
+    identical flux), the sweep count, and the Krylov iterations of the
+    accepting sweep (0 when it accepted without a solve).  A failed
+    transport solve, a loss of positivity, an exhausted sweep budget and a
+    density outside [RHO_LO, RHO_HI] raise.
     """
     mesh = rho_n.mesh
     grid = (mesh.ny, mesh.nx)
@@ -435,7 +431,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
         r0_norm = _norm(r0)
         if r0_norm <= target:
             # the iterate solves this sweep's system: no update to test
-            report = SolveReport(0, r0_norm, True)
+            iterations = 0
             break
 
         # right preconditioner (I - beta div grad)^{-1} where the shift is
@@ -454,6 +450,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
             raise RuntimeError(
                 f"transport solve failed in Picard sweep {it}: "
                 f"residual {report.residual:.3e}")
+        iterations = report.iterations
         rho_next = rho_l + x
         if not (rho_next > 0.0).all():
             raise RuntimeError(f"density lost positivity in Picard sweep {it}")
@@ -474,10 +471,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
         raise RuntimeError(
             f"density [{lo:.3e}, {hi:.3e}] left the admissible window "
             f"[{RHO_LO:g}, {RHO_HI:g}]")
-    report = PicardReport(iterations=report.iterations,
-                          residual=report.residual,
-                          converged=report.converged, sweeps=it)
-    return CellScalar(mesh, rho_l), split, report
+    return CellScalar(mesh, rho_l), split, it, iterations
 
 
 def upwind_momentum(m: np.ndarray, q: np.ndarray, g: np.ndarray,
@@ -535,8 +529,8 @@ def comp_step(state: CompState, config: CompConfig,
     e_prev = state.energy
     if e_prev is None:
         e_prev = total_energy(state.rho, state.u, eps, gamma)
-    rho_new, split, report = density_picard(state.rho, state.u, dt, eta,
-                                            config)
+    rho_new, split, picard_iters, transport_iters = density_picard(
+        state.rho, state.u, dt, eta, config)
     # rho^gamma once, for grad p and both energies
     p_new = eos_values(rho_new.values, gamma)
     gp_new = grad_values(mesh, p_new)
@@ -553,13 +547,13 @@ def comp_step(state: CompState, config: CompConfig,
                           step=state.step + 1, energy=energy, gp=gp_new)
     diag = StepDiagnostics(
         step=new_state.step, t=new_state.t, dt=dt,
-        picard_iters=report.sweeps,
+        picard_iters=picard_iters,
         energy=energy, entropy=entropy,
         mass=float(np.dot(mesh.cell_vol, rho_new.values)),
         rho_min=float(rho_new.values.min()),
         rho_max=float(rho_new.values.max()),
         stab_dissipation=stab, energy_ok=energy_ok,
-        dt_bound=dt_bound, transport_iters=report.iterations,
+        dt_bound=dt_bound, transport_iters=transport_iters,
     )
     return new_state, diag
 

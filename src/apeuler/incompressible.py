@@ -29,7 +29,7 @@ import numpy as np
 from .compressible import (SchemeConfig, Trajectory, _energy_check, _eta,
                            _march, face_dt_bound, upwind_momentum)
 from .fields import CellScalar, CellVector
-from .linsolve import SolveReport, _norm
+from .linsolve import _norm
 from .mesh import Mesh
 from .operators import (
     _face_divergence,
@@ -96,7 +96,6 @@ class IncompStepDiagnostics:
     dt: float
     kinetic_energy: float
     div_residual: float
-    pressure_iters: int
     energy_ok: bool
     # not part of the CSV schema:
     dt_bound: float = math.nan
@@ -136,7 +135,7 @@ def pressure_kernel_basis(mesh: Mesh) -> np.ndarray:
 
 
 def pressure_solve(mesh: Mesh, un: np.ndarray, eta: float,
-                   dt: float) -> tuple[CellScalar, SolveReport]:
+                   dt: float) -> CellScalar:
     """Solve eta dt (div grad) pi = div v^n directly in Fourier space.
 
     ``un`` is the face-averaged normal velocity of v^n
@@ -145,10 +144,9 @@ def pressure_solve(mesh: Mesh, un: np.ndarray, eta: float,
     grid, so ``rfft2`` diagonalizes it; dividing by its symbol inverts it
     on every mode and zero-symbol (kernel) modes map to zero, so the
     returned pressure has zero mean and zero checkerboard components.  The
-    report carries the recomputed residual ||b_defl + eta dt laplace(pi)||,
-    where b_defl is b = -div v^n with its kernel modes removed (its norm
-    lands in ``deflated_norm``); a residual above PRESSURE_TOL ||b_defl||
-    raises.
+    residual ||b_defl + eta dt laplace(pi)|| is recomputed, where b_defl is
+    b = -div v^n with its kernel modes removed; a residual above
+    PRESSURE_TOL ||b_defl|| raises.
     """
     if not (eta > 0.0 and dt > 0.0):
         raise ValueError("eta and dt must be positive")
@@ -160,7 +158,6 @@ def pressure_solve(mesh: Mesh, un: np.ndarray, eta: float,
     spec = np.fft.rfft2(b.reshape(shape))
     spec[s == 0.0] = 0.0
     b_defl = np.fft.irfft2(spec, s=shape).reshape(-1)
-    removed = _norm(b - b_defl)
     bnorm = _norm(b_defl)
 
     np.divide(spec, s, out=spec, where=s > 0.0)
@@ -170,7 +167,7 @@ def pressure_solve(mesh: Mesh, un: np.ndarray, eta: float,
         raise RuntimeError(
             f"pressure solve missed its tolerance: residual {residual:.3e} "
             f"against {PRESSURE_TOL * bnorm:.3e}")
-    return CellScalar(mesh, x), SolveReport(1, residual, True, removed)
+    return CellScalar(mesh, x)
 
 
 def incomp_dt(state: IncompState, config: IncompConfig) -> float:
@@ -194,7 +191,7 @@ def incomp_step(state: IncompState, config: IncompConfig,
     if ke_prev is None:
         ke_prev = kinetic_energy(state.v)
     un = edge_normal_values(mesh, state.v.values)
-    pi_new, report = pressure_solve(mesh, un, ETA, dt)
+    pi_new = pressure_solve(mesh, un, ETA, dt)
 
     gpi = grad_values(mesh, pi_new.values)
     dn = edge_normal_values(mesh, (ETA * dt) * gpi)
@@ -214,8 +211,7 @@ def incomp_step(state: IncompState, config: IncompConfig,
                             step=state.step + 1, ke=ke)
     diag = IncompStepDiagnostics(
         step=new_state.step, t=new_state.t, dt=dt,
-        kinetic_energy=ke, div_residual=div_residual,
-        pressure_iters=report.iterations, energy_ok=energy_ok,
+        kinetic_energy=ke, div_residual=div_residual, energy_ok=energy_ok,
         dt_bound=dt_bound,
     )
     return new_state, diag

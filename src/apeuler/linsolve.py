@@ -38,11 +38,11 @@ TRANSPORT_MAX_ITER = 400
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a Krylov solve.
+    """Outcome of a Krylov solve of this module.
 
     ``residual`` is the recomputed ||Ax - b||_2 of the returned iterate (with
-    the deflated right-hand side when a null basis was supplied);
-    ``deflated_norm`` is the norm of the component removed from b.
+    the deflated right-hand side in deflated CG); ``deflated_norm`` is the
+    norm of the component deflated CG removed from b, 0 for BiCGStab.
     """
 
     iterations: int

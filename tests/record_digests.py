@@ -5,17 +5,18 @@
     python tests/record_digests.py --compare OLD NEW   # how far files moved
 
 The digests cover every output file of ``apeuler run`` on the ``TINY``
-config of ``test_harness.py`` in each mode, at one and at two workers (the
-two must agree), and on the ``study_bundle`` config of the benchmark, plus
-one digest per trajectory of the zero-phase 64^2 compressible runs at eps 1,
-1e-2 and 1e-4 and of the 128^2 limit run.  ``test_digests.py`` compares a
-fresh computation with the committed ``digests.json``.  Floating-point bits
-depend on the numpy version and on the SIMD paths numpy dispatches to, so
-both are stored next to the digests.
+config (defined here; ``test_harness.py`` imports it) in each mode, at one
+and at two workers (the two must agree), and on the ``study_bundle`` config
+of the benchmark, plus one digest per trajectory of the zero-phase 64^2
+compressible runs at eps 1, 1e-2 and 1e-4 and of the 128^2 limit run.
+``test_digests.py`` compares a fresh computation with the committed
+``digests.json``.  Floating-point bits depend on the numpy version and on
+the SIMD paths numpy dispatches to, so both are stored next to the digests.
 
 A change that means to move numbers re-records the file.  ``--keep`` on the
 parent and on the change, then ``--compare``, gives each moved file's
-largest change relative to the largest magnitude in its column.
+largest change relative to the largest magnitude in its column, the
+columns only one side has, and the files only one side has.
 
 The script, like the test session (``conftest.py``), ``apeuler run`` and the
 benchmark, runs numpy with one BLAS thread, so the digests do not depend on
@@ -43,7 +44,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "digests.json"
 
-# the TINY config of test_harness.py
+# the small config of the harness tests, which test_harness.py imports
 TINY = ("grids = 4,8\nref_grid = 16\neps = 1.0,0.01\n"
         "t_final = 0.001\noutput_count = 2\n")
 # the study_bundle config of the benchmark
@@ -171,7 +172,10 @@ def _table(path: Path):
 def compare(old: Path, new: Path) -> list[str]:
     """One line per file whose bytes differ between two ``--keep``
     directories: its largest change over the largest magnitude of that
-    column in ``old``, over the cells finite in both, and the column."""
+    column in ``old``, over the cells finite in both and the columns both
+    have (matched by name), and that column; then the columns only one
+    side has.  Files with different row counts read ``layout differs``, and
+    a file only one directory has is named as missing in the other."""
     lines = []
     for p in sorted(old.rglob("*.csv")):
         rel = p.relative_to(old)
@@ -183,11 +187,15 @@ def compare(old: Path, new: Path) -> list[str]:
             continue
         head_a, a = _table(p)
         head_b, b = _table(q)
-        if head_a != head_b or a.shape != b.shape:
+        if len(a) != len(b):
             lines.append(f"{rel}: layout differs")
             continue
+        new_columns = dict(zip(head_b, b.T))
         worst, column = 0.0, ""
-        for name, x, y in zip(head_a, a.T, b.T):
+        for name, x in zip(head_a, a.T):
+            if name not in new_columns:
+                continue
+            y = new_columns[name]
             both = np.isfinite(x) & np.isfinite(y)
             if not both.any():
                 continue
@@ -196,7 +204,16 @@ def compare(old: Path, new: Path) -> list[str]:
             change = diff / scale if scale > 0.0 else diff
             if change > worst:
                 worst, column = change, name
-        lines.append(f"{rel}: {worst:.2e} ({column})")
+        line = f"{rel}: {worst:.2e}" + (f" ({column})" if column else "")
+        for side, mine, other in (("OLD", head_a, head_b),
+                                  ("NEW", head_b, head_a)):
+            only = [name for name in mine if name not in other]
+            if only:
+                line += f"; only in {side}: {','.join(only)}"
+        lines.append(line)
+    lines += [f"{q.relative_to(new)}: missing in {old}"
+              for q in sorted(new.rglob("*.csv"))
+              if not (old / q.relative_to(new)).is_file()]
     return lines
 
 

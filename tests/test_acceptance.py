@@ -9,7 +9,8 @@ solver runs behind the criteria are made once per session, the way
 ``apeuler run`` makes them: the ``runs`` fixture sweeps the 21 cells the
 criteria read (grids up to 256^2, limit runs up to 512^2) through
 ``harness._sweep`` on two forked workers, which write their run files under
-pytest's temporary directory.  A failed cell fails the gate by its label.
+pytest's temporary directory; the fixture removes them at session end.  A
+failed cell fails the gate by its label.
 
 The results use the harness's keys, so criteria 05-10 read their
 series from the harness's table row functions, the code behind the bundle
@@ -23,6 +24,7 @@ per-step limit residual.  Criteria 01-04 and 11 check step diagnostics or
 unit-level identities that no table reports.
 """
 
+import shutil
 import time
 
 import numpy as np
@@ -85,21 +87,25 @@ CELLS = ([("incomp", 512)]
 @pytest.fixture(scope="session")
 def runs(tmp_path_factory):
     """Trajectories of ``CELLS`` keyed by ('comp', grid, eps) or
-    ('incomp', grid), run once per session through ``harness._sweep``."""
+    ('incomp', grid), run once per session through ``harness._sweep``.
+    The run files it writes are removed when the session ends."""
+    outdir = tmp_path_factory.mktemp("gate")
     cfg = ExperimentConfig(mode="compressible", grids=(32, 64, 128, 256),
                            ref_grid=512, eps=EPS_ALL, t_final=T_FINAL,
-                           output_count=10, workers=2,
-                           outdir=str(tmp_path_factory.mktemp("gate")))
+                           output_count=10, workers=2, outdir=str(outdir))
     # a cell no study lists would run with no bundle to write into and fail
     # only after its whole run
     [(_, listed, _)] = harness._studies(cfg)
     assert set(CELLS) <= set(listed), \
         f"cells no study lists: {[k for k in CELLS if k not in listed]}"
-    results, failures = harness._sweep(cfg, CELLS)
-    if failures:
-        pytest.fail("gate cells failed: " + "; ".join(failures.values()),
-                    pytrace=False)
-    return {key: traj for key, (traj, _) in results.items()}
+    try:
+        results, failures = harness._sweep(cfg, CELLS)
+        if failures:
+            pytest.fail("gate cells failed: " + "; ".join(failures.values()),
+                        pytrace=False)
+        yield {key: traj for key, (traj, _) in results.items()}
+    finally:
+        shutil.rmtree(outdir)
 
 
 def _verdict(name: str, failures: list, detail: str = "") -> None:

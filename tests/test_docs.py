@@ -1,21 +1,25 @@
 """The README's examples stay runnable: every ``key = value`` block parses
 as a config and every ``apeuler run`` example line is accepted by the CLI's
-parser, so a removed key or flag cannot linger in the docs."""
+parser, so a removed key or flag cannot linger in the docs.  The
+``diagnostics.csv`` columns it lists are those the step records write."""
 
 import re
 import shlex
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 from apeuler import cli
+from apeuler.compressible import StepDiagnostics
 from apeuler.config import parse_config_text
+from apeuler.incompressible import IncompStepDiagnostics
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TEXT = README.read_text(encoding="utf-8")
 
 #: (language tag, body) of every fenced block
-FENCES = re.findall(r"^```(\w*)\n(.*?)^```",
-                    README.read_text(encoding="utf-8"), re.M | re.S)
+FENCES = re.findall(r"^```(\w*)\n(.*?)^```", TEXT, re.M | re.S)
 
 CONFIG_BLOCKS = [body for lang, body in FENCES
                  if not lang and re.search(r"^\w+ *=", body, re.M)]
@@ -46,3 +50,13 @@ def test_readme_run_line_parses(line):
         cli._build_parser().parse_args(argv)
     except SystemExit:
         pytest.fail(f"README example rejected by the CLI parser: {line}")
+
+
+@pytest.mark.parametrize("scheme, cls", [
+    ("compressible", StepDiagnostics),
+    ("limit", IncompStepDiagnostics),
+])
+def test_readme_lists_diagnostics_columns(scheme, cls):
+    listed = re.findall(rf"^ *- {scheme} columns:\s*`([\w,]+)`", TEXT, re.M)
+    assert listed == [",".join(f.name for f in fields(cls)
+                               if f.default is MISSING)]

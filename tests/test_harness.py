@@ -26,9 +26,8 @@ from apeuler.config import (ExperimentConfig, config_hash, parse_config_text,
 from apeuler.harness import OutputBundle, run_experiment
 from apeuler.incompressible import IncompStepDiagnostics
 from apeuler.output import format_value
+from record_digests import TINY
 
-TINY = ("grids = 4,8\nref_grid = 16\neps = 1.0,0.01\n"
-        "t_final = 0.001\noutput_count = 2\n")
 SMALLEST = ("grids = 4\nref_grid = 8\neps = 1.0\n"
             "t_final = 0.001\noutput_count = 2\n")
 

@@ -60,12 +60,26 @@ def _solve(v: CellVector, eta: float, dt: float):
     return out
 
 
+def _deflated_rhs(v: CellVector) -> np.ndarray:
+    """b = -div v with its kernel component B B^T b removed, B the
+    ``pressure_kernel_basis``."""
+    b = -div_values(v.mesh, v.values)
+    basis = pressure_kernel_basis(v.mesh)
+    return b - basis @ (basis.T @ b)
+
+
+def _residual(pi: CellScalar, v: CellVector, eta: float, dt: float) -> float:
+    """||b_defl + eta dt laplace(pi)||, recomputed here rather than taken
+    from the solver."""
+    lap = laplace_values(pi.mesh, pi.values)
+    return float(np.linalg.norm(_deflated_rhs(v) + eta * dt * lap))
+
+
 def _pressure(v: CellVector, eta: float, dt: float) -> CellScalar:
     """``pressure_solve`` with its residual held to 1e-12 ||div v||."""
-    pi, report = _solve(v, eta, dt)
-    assert report.converged
+    pi = _solve(v, eta, dt)
     div_norm = float(np.linalg.norm(div_values(v.mesh, v.values)))
-    assert report.residual <= 1e-12 * div_norm
+    assert _residual(pi, v, eta, dt) <= 1e-12 * div_norm
     return pi
 
 
@@ -187,7 +201,7 @@ def test_spectral_pressure_matches_deflated_cg(nx, ny, rng):
     mesh = Mesh(MeshSpec(nx, ny))
     v = CellVector(mesh, rng.standard_normal((mesh.ncells, 2)))
     eta, dt = 1.515, 0.003
-    pi, report = _solve(v, eta, dt)
+    pi = _solve(v, eta, dt)
 
     b = -div_values(mesh, v.values)
     basis = pressure_kernel_basis(mesh)
@@ -197,11 +211,11 @@ def test_spectral_pressure_matches_deflated_cg(nx, ny, rng):
     scale = float(np.linalg.norm(ref))
     assert float(np.linalg.norm(pi.values - ref)) <= 1e-10 * scale
 
-    b_defl = b - basis @ (basis.T @ b)
-    assert report.converged and report.iterations == 1
-    assert report.residual <= 1e-12 * float(np.linalg.norm(b_defl))
-    # b lies in the range of div, so the removed part is roundoff
-    assert report.deflated_norm <= 1e-12 * float(np.linalg.norm(b))
+    b_defl = _deflated_rhs(v)
+    assert _residual(pi, v, eta, dt) <= 1e-12 * float(np.linalg.norm(b_defl))
+    # b lies in the range of div, so its kernel component is roundoff
+    assert (float(np.linalg.norm(b - b_defl))
+            <= 1e-12 * float(np.linalg.norm(b)))
     np.testing.assert_allclose(basis.T @ pi.values, 0.0, atol=1e-12)
 
 
