@@ -1,5 +1,5 @@
 """Ensemble statistics over mesh-refinement sequences, the E1--E4 error
-suite, relative-energy functionals, and convergence-rate helpers.
+suite, the compressible relative energy, and convergence-rate helpers.
 
 A refinement sequence of solutions is treated as an equal-weight empirical
 measure per cell; its Cesaro average and first variance are the objects
@@ -26,6 +26,11 @@ members, and a refinement sequence has one member per grid level.  W1 is
 batched: one quantile-gap evaluation over every cell and component of two
 sorted stacks gives E4, and ``w1_empirical``, which takes any number of
 samples, sorts them with ``np.sort`` and runs the same kernel.
+
+``rel_energy_comp`` measures the arrays of a compressible state against the
+unit-density state of a limit velocity, with the Pi_gamma of each step's
+entropy variant (``compressible.pi_gamma_values``); between two limit
+velocities it is ``incompressible.kinetic_energy`` of their difference.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .compressible import CompState, Trajectory, psi_values
-from .fields import CellScalar, CellVector
+from .compressible import (CompState, Trajectory, eos_values,
+                           pi_gamma_values)
 from .incompressible import IncompState
 from .mesh import Mesh
 
@@ -56,7 +61,6 @@ __all__ = [
     "w1_empirical",
     "error_suite",
     "rel_energy_comp",
-    "rel_energy_incomp",
     "eoc",
     "density_deviation",
 ]
@@ -326,27 +330,16 @@ def error_suite(ensemble: Ensemble, ref_ensemble: Ensemble) -> ErrorReport:
     return ErrorReport(E1=e1, E2=e2, E3=e3, E4=e4)
 
 
-def rel_energy_comp(rho: CellScalar, m: CellVector, r: CellScalar,
-                    U: CellVector, eps: float, gamma: float) -> float:
-    """Relative energy of (rho, m) against a smooth state (r, U):
-    sum |K| [ (rho/2)|m/rho - U|^2
-              + (psi(rho) - psi(r) - psi'(r)(rho - r)) / eps^2 ]."""
-    mesh = rho.mesh
-    # psi_values checks both densities positive before m / rho divides
-    psi_rho, psi_r = psi_values(rho.values, gamma), psi_values(r.values, gamma)
-    du = m.values / rho.values[:, None] - U.values
-    kin = 0.5 * rho.values * np.einsum("kc,kc->k", du, du)
-    dpsi = gamma / (gamma - 1.0) * r.values ** (gamma - 1.0)
-    bregman = psi_rho - psi_r - dpsi * (rho.values - r.values)
-    return float(np.dot(mesh.cell_vol, kin + bregman / eps**2))
-
-
-def rel_energy_incomp(v: CellVector, V: CellVector) -> float:
-    """(1/2) sum |K| |v_K - V_K|^2."""
-    if v.mesh is not V.mesh and (v.mesh.nx, v.mesh.ny) != (V.mesh.nx, V.mesh.ny):
-        raise ValueError("velocity fields live on different grids")
-    d = v.values - V.values
-    return 0.5 * float(np.dot(v.mesh.cell_vol, np.einsum("kc,kc->k", d, d)))
+def rel_energy_comp(mesh: Mesh, rho: np.ndarray, m: np.ndarray,
+                    v: np.ndarray, eps: float, gamma: float) -> float:
+    """Relative energy of the density ``rho`` (ncells,) and momentum ``m``
+    (ncells, 2) against the unit-density state with velocity ``v``
+    (ncells, 2): sum |K| [ (rho/2)|m/rho - v|^2 + Pi_gamma(rho) / eps^2 ]."""
+    # eos_values checks the density positive before m / rho divides
+    pi = pi_gamma_values(rho, eos_values(rho, gamma), gamma)
+    du = m / rho[:, None] - v
+    kin = 0.5 * rho * np.einsum("kc,kc->k", du, du)
+    return float(np.dot(mesh.cell_vol, kin + pi / eps**2))
 
 
 def eoc(errors, hs) -> list[float]:

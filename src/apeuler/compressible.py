@@ -53,7 +53,7 @@ __all__ = [
     "StepDiagnostics",
     "Trajectory",
     "eos_values",
-    "psi_values",
+    "pi_gamma_values",
     "init_comp",
     "stabilization",
     "eta_rule",
@@ -189,21 +189,24 @@ def eos_values(rho: np.ndarray, gamma: float) -> np.ndarray:
     return rho ** gamma
 
 
-def psi_values(rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Pressure potential (internal energy density) rho^gamma/(gamma-1)."""
-    return eos_values(rho, gamma) / (gamma - 1.0)
+def pi_gamma_values(rho: np.ndarray, p: np.ndarray,
+                    gamma: float) -> np.ndarray:
+    """Relative internal energy against unit density, Pi_gamma(rho) =
+    psi(rho) - psi(1) - psi'(1)(rho - 1), of densities ``rho`` with
+    pressures p = rho^gamma; psi(rho) = rho^gamma/(gamma-1) is the pressure
+    potential and psi'(1) = gamma/(gamma-1)."""
+    return (p - 1.0 - gamma * (rho - 1.0)) / (gamma - 1.0)
 
 
 def _energies(vol: np.ndarray, rho: np.ndarray, u: np.ndarray, p: np.ndarray,
               eps: float, gamma: float) -> tuple[float, float]:
     """(total energy, entropy variant) of a positive density ``rho`` with
     p = rho^gamma and velocity ``u`` (ncells, 2): the kinetic-energy density
-    is formed once for both, and psi takes the arithmetic of ``psi_values``
-    on p."""
+    is formed once for both; the energy takes psi = p/(gamma-1) and the
+    entropy variant Pi_gamma."""
     ke = 0.5 * rho * np.einsum("kc,kc->k", u, u)
     energy = float(np.dot(vol, ke + p / (gamma - 1.0) / eps**2))
-    # Pi_gamma = psi(rho) - psi(1) - psi'(1)(rho - 1), psi'(1) = gamma/(gamma-1)
-    pi = (p - 1.0 - gamma * (rho - 1.0)) / (gamma - 1.0)
+    pi = pi_gamma_values(rho, p, gamma)
     return energy, float(np.dot(vol, ke + pi / eps**2))
 
 

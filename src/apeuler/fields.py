@@ -21,7 +21,6 @@ from .mesh import Mesh
 __all__ = [
     "CellScalar",
     "CellVector",
-    "cell_scalar",
 ]
 
 
@@ -55,7 +54,3 @@ class CellVector:
         self.values = _coerce(self.values, (self.mesh.ncells, 2),
                               "CellVector", order="F")
 
-
-def cell_scalar(mesh: Mesh, fill: float = 0.0) -> CellScalar:
-    """Constant scalar field."""
-    return CellScalar(mesh, np.full(mesh.ncells, float(fill)))

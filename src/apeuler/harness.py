@@ -53,7 +53,6 @@ from .analysis import (
     incomp_snapshot,
     make_ensemble,
     rel_energy_comp,
-    rel_energy_incomp,
     restrict_values,
 )
 from .cases import comp_initial_data, incomp_initial_data
@@ -61,8 +60,8 @@ from .compressible import (StepDiagnostics, Trajectory, default_output_times,
                            init_comp, run_comp)
 from .config import (ExperimentConfig, comp_config, config_hash, eps_tag,
                      incomp_config)
-from .fields import CellScalar, CellVector, cell_scalar
-from .incompressible import IncompStepDiagnostics, init_incomp, run_incomp
+from .incompressible import (IncompStepDiagnostics, init_incomp,
+                             kinetic_energy, run_incomp)
 from .mesh import Mesh, MeshSpec
 from .operators import div_values, lp_norm
 from .output import atomic_write_text, write_csv, write_field_csv
@@ -229,8 +228,8 @@ def velocity_gap_rows(results: dict, grid: int, eps_list):
     limit = results.get(("incomp", grid))
     runs = _comp_runs(results, grid, eps_list) if limit is not None else []
     return ["eps", "l1_gap"], [
-        (eps, lp_norm(CellVector(comp.mesh, comp.states[-1].u.values
-                                 - limit.states[-1].v.values), 1))
+        (eps, lp_norm(comp.mesh, comp.states[-1].u.values
+                      - limit.states[-1].v.values, 1))
         for eps, comp in runs]
 
 
@@ -261,9 +260,9 @@ def div_residual_rows(results: dict, grid: int, eps_list):
     """L2 and max norms of the final compressible velocity divergence."""
     rows = []
     for eps, comp in _comp_runs(results, grid, eps_list):
-        div = CellScalar(comp.mesh,
-                         div_values(comp.mesh, comp.states[-1].u.values))
-        rows.append((eps, lp_norm(div, 2), lp_norm(div, np.inf)))
+        div = div_values(comp.mesh, comp.states[-1].u.values)
+        rows.append((eps, lp_norm(comp.mesh, div, 2),
+                     lp_norm(comp.mesh, div, np.inf)))
     return ["eps", "div_l2", "div_linf"], rows
 
 
@@ -276,12 +275,12 @@ def _refine_errors(results: dict, grids, ref_grid: int) -> list[tuple]:
         run = results.get(("incomp", g))
         if run is None or ref is None:
             continue
-        v, mesh = run.states[-1].v, run.mesh
-        v_ref = CellVector(mesh, np.column_stack([
+        mesh = run.mesh
+        diff = run.states[-1].v.values - np.column_stack([
             restrict_values(ref.states[-1].v.values[:, c], ref.mesh, mesh)
-            for c in range(2)]))
-        rows.append((g, mesh.h, rel_energy_incomp(v, v_ref),
-                     lp_norm(CellVector(mesh, v.values - v_ref.values), 2)))
+            for c in range(2)])
+        rows.append((g, mesh.h, kinetic_energy(mesh, diff),
+                     lp_norm(mesh, diff, 2)))
     return rows
 
 
@@ -310,10 +309,10 @@ def cross_energy_rows(results: dict, grid: int, eps_list, gamma: float):
     rows = []
     for eps, comp in runs:
         state = comp.states[-1]
-        m = CellVector(state.mesh, state.rho.values[:, None] * state.u.values)
+        rho = state.rho.values
         rows.append((eps, rel_energy_comp(
-            state.rho, m, cell_scalar(state.mesh, 1.0), limit.states[-1].v,
-            eps, gamma)))
+            state.mesh, rho, rho[:, None] * state.u.values,
+            limit.states[-1].v.values, eps, gamma)))
     return ["eps", "rel_energy"], rows
 
 

@@ -6,7 +6,8 @@ periodic neighbour shift built from slice assignments.  Per-cell vectors
 keep the public ``(ncells, 2)`` shape of :class:`CellVector` and are stored
 component-major, so ``_components`` views them as two ``(ny, nx)`` grids
 without a copy; vector kernels work on those whole component grids and
-return ``(ncells, 2)`` results in the same layout.  Per-face arrays have
+return ``(ncells, 2)`` results in the same layout (``lp_norm`` tells such a
+vector from an ``(ncells,)`` scalar by its shape).  Per-face arrays have
 shape ``(2, ny, nx)``, x-faces first: entry ``[a, j, i]`` is the face on the
 +x (a = 0) or +y (a = 1) side of cell ``K`` in row j, column i, oriented from
 ``K`` to its +x (+y) neighbour ``L`` with periodic wrap-around.  Each face
@@ -318,20 +319,23 @@ def project_vector(fx: Callable, fy: Callable, mesh: Mesh) -> CellVector:
 # norms
 # ---------------------------------------------------------------------------
 
-def lp_norm(q, p) -> float:
-    """Volume-weighted L^p norm, p in {1, 2, inf}.
+def lp_norm(mesh: Mesh, values: np.ndarray, p) -> float:
+    """Volume-weighted L^p norm of per-cell ``values``, p in {1, 2, inf}.
 
-    Vector fields are measured through their pointwise Euclidean magnitude.
+    Scalars, (ncells,), are measured through their absolute value and
+    vectors, (ncells, 2), through their pointwise Euclidean magnitude.
     """
-    if isinstance(q, CellVector):
-        mag = np.hypot(q.values[:, 0], q.values[:, 1])
+    if values.shape == (mesh.ncells, 2):
+        mag = np.hypot(values[:, 0], values[:, 1])
+    elif values.shape == (mesh.ncells,):
+        mag = np.abs(values)
     else:
-        mag = np.abs(q.values)
-    vol = q.mesh.cell_vol
+        raise ValueError(f"per-cell values expected, got shape {values.shape}")
+    vol = mesh.cell_vol
     if p == 1:
         return float(np.dot(vol, mag))
     if p == 2:
         return float(np.sqrt(np.dot(vol, mag * mag)))
     if p == np.inf:
-        return float(mag.max()) if mag.size else 0.0
+        return float(mag.max())
     raise ValueError(f"unsupported norm order {p!r}")

@@ -1,5 +1,5 @@
-"""Shared fixtures: small meshes and a seeded generator, plus a constant
-vector-field helper and the transport-LP oracle of W1.
+"""Shared fixtures: small meshes and a seeded generator, plus constant
+scalar- and vector-field helpers and the transport-LP oracle of W1.
 
 The test session runs with one BLAS thread per process, as ``apeuler run``
 and the benchmark do, so the recorded digests do not depend on the core
@@ -15,8 +15,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from apeuler.fields import CellVector
+from apeuler.fields import CellScalar, CellVector
 from apeuler.mesh import Mesh, MeshSpec
+
+
+def cell_scalar(mesh: Mesh, fill: float = 0.0) -> CellScalar:
+    """Constant scalar field."""
+    return CellScalar(mesh, np.full(mesh.ncells, float(fill)))
 
 
 def cell_vector(mesh: Mesh, fill=(0.0, 0.0)) -> CellVector:

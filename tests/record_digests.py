@@ -6,7 +6,8 @@
 
 The digests cover every output file of ``apeuler run`` on the ``TINY``
 config (defined here; ``test_harness.py`` imports it) in each mode, at one
-and at two workers (the two must agree), and on the ``study_bundle`` config
+and at two workers (the two must agree, and only the one-worker bundle is
+kept), and on the ``study_bundle`` config
 of the benchmark, plus one digest per trajectory of the zero-phase 64^2
 compressible runs at eps 1, 1e-2 and 1e-4 and of the 128^2 limit run.
 ``test_digests.py`` compares a fresh computation with the committed
@@ -31,6 +32,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -131,20 +133,31 @@ def trajectory_digests() -> dict:
     return out
 
 
+def tiny_bundle(mode: str, workdir: Path) -> dict:
+    """``run_bundle`` of ``TINY`` in ``mode`` at one and at two workers,
+    into ``tiny_<mode>_w1`` and ``_w2`` under ``workdir``.  Raises, keeping
+    both, if they differ; else removes the two-worker bundle, so a
+    ``--keep`` directory holds each file once."""
+    text = TINY + f"mode = {mode}\n"
+    one = run_bundle(text, workdir / f"tiny_{mode}_w1", 1)
+    two_dir = workdir / f"tiny_{mode}_w2"
+    two = run_bundle(text, two_dir, 2)
+    if one != two:
+        moved = sorted(k for k in one.keys() | two.keys()
+                       if one.get(k) != two.get(k))
+        raise RuntimeError(f"mode {mode}: workers 1 and 2 differ in {moved}")
+    shutil.rmtree(two_dir)
+    two_dir.with_suffix(".cfg").unlink()
+    return one
+
+
 def compute(workdir: Path) -> dict:
     """Every digest, with the bundles written under ``workdir``.  Raises if
     one and two workers write different files."""
     digests = {}
     for mode in MODES:
-        text = TINY + f"mode = {mode}\n"
-        one = run_bundle(text, workdir / f"tiny_{mode}_w1", 1)
-        two = run_bundle(text, workdir / f"tiny_{mode}_w2", 2)
-        if one != two:
-            moved = sorted(k for k in one.keys() | two.keys()
-                           if one.get(k) != two.get(k))
-            raise RuntimeError(f"mode {mode}: workers 1 and 2 differ in "
-                               f"{moved}")
-        digests.update({f"tiny_{mode}/{k}": v for k, v in one.items()})
+        digests.update({f"tiny_{mode}/{k}": v
+                        for k, v in tiny_bundle(mode, workdir).items()})
     bundle = run_bundle(STUDY_BUNDLE, workdir / "study_bundle", None)
     digests.update({f"study_bundle/{k}": v for k, v in bundle.items()})
     digests.update({f"trajectory/{k}": v

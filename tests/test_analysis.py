@@ -26,16 +26,15 @@ from apeuler.analysis import (
     incomp_snapshot,
     make_ensemble,
     rel_energy_comp,
-    rel_energy_incomp,
     restrict_snapshot,
     restrict_values,
     w1_empirical,
 )
-from apeuler.compressible import CompState, Trajectory
-from apeuler.fields import CellScalar, CellVector, cell_scalar
+from apeuler.compressible import CompState, Trajectory, total_entropy
+from apeuler.fields import CellScalar, CellVector
 from apeuler.incompressible import IncompState
 from apeuler.mesh import Mesh, MeshSpec
-from conftest import cell_vector, w1_lp
+from conftest import cell_scalar, cell_vector, w1_lp
 
 
 def _const_snapshot(mesh, value):
@@ -497,52 +496,54 @@ def test_cached_statistics_equal_from_scratch_formulas(stats_first, rng):
 # ---------------------------------------------------------------------------
 
 def test_rel_energy_comp_bregman_oracle(mesh4):
-    # rho = 2 against r = 1 at rest, gamma = 2, eps = 1:
+    # rho = 2 against the unit density at rest, gamma = 2, eps = 1:
     # psi(2) - psi(1) - psi'(1) = 4 - 1 - 2 = 1 per unit volume
-    rho = cell_scalar(mesh4, 2.0)
-    m = cell_vector(mesh4, (0.0, 0.0))
-    val = rel_energy_comp(rho, m, cell_scalar(mesh4, 1.0),
-                          cell_vector(mesh4, (0.0, 0.0)), 1.0, 2.0)
-    assert val == pytest.approx(1.0, rel=1e-14)
+    zero = np.zeros((mesh4.ncells, 2))
+    rho = np.full(mesh4.ncells, 2.0)
+    assert rel_energy_comp(mesh4, rho, zero, zero, 1.0, 2.0) == \
+        pytest.approx(1.0, rel=1e-14)
 
 
 def test_rel_energy_comp_kinetic_oracle(mesh4):
-    # matched densities, velocity gap (1, 0): (rho/2)|du|^2 = 1 per volume
-    rho = cell_scalar(mesh4, 2.0)
-    m = cell_vector(mesh4, (2.0, 0.0))
-    val = rel_energy_comp(rho, m, rho, cell_vector(mesh4, (0.0, 0.0)), 1.0, 2.0)
-    assert val == pytest.approx(1.0, rel=1e-14)
+    # unit density, velocity gap (3, 4) - (0, 0): (rho/2)|du|^2 = 12.5 per
+    # volume, whatever eps
+    one = np.ones(mesh4.ncells)
+    m = cell_vector(mesh4, (3.0, 4.0)).values
+    v = cell_vector(mesh4, (0.0, 0.0)).values
+    for eps in (1.0, 1e-3):
+        assert rel_energy_comp(mesh4, one, m, v, eps, 2.0) == \
+            pytest.approx(12.5, rel=1e-14)
 
 
 def test_rel_energy_comp_zero_at_reference(mesh4, rng):
-    r = CellScalar(mesh4, rng.uniform(0.5, 2.0, mesh4.ncells))
-    U = CellVector(mesh4, rng.standard_normal((mesh4.ncells, 2)))
-    m = CellVector(mesh4, r.values[:, None] * U.values)
-    assert rel_energy_comp(r, m, r, U, 0.1, 2.0) == pytest.approx(0.0, abs=1e-12)
-    assert rel_energy_comp(r, m, r, U, 0.1, 1.4) == pytest.approx(0.0, abs=1e-12)
+    one = np.ones(mesh4.ncells)
+    v = rng.standard_normal((mesh4.ncells, 2))
+    for gamma in (1.4, 2.0):
+        assert rel_energy_comp(mesh4, one, v, v, 0.1, gamma) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [1.4, 2.0, 3.0])
+def test_rel_energy_comp_at_rest_is_the_entropy_variant(mesh16, rng, gamma):
+    # against (1, 0) the relative energy is the step's entropy variant:
+    # both take their internal part from pi_gamma_values
+    rho = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, mesh16.ncells)
+    u = rng.standard_normal((mesh16.ncells, 2))
+    zero = np.zeros((mesh16.ncells, 2))
+    for eps in (1.0, 0.1):
+        entropy = total_entropy(CellScalar(mesh16, rho), CellVector(mesh16, u),
+                                eps, gamma)
+        assert rel_energy_comp(mesh16, rho, rho[:, None] * u, zero, eps,
+                               gamma) == pytest.approx(entropy, rel=1e-14)
 
 
 def test_rel_energy_comp_rejects_bad_density(mesh4):
-    zero = cell_vector(mesh4, (0.0, 0.0))
-    one = cell_scalar(mesh4, 1.0)
+    zero = np.zeros((mesh4.ncells, 2))
     with pytest.raises(ValueError):
-        rel_energy_comp(CellScalar(mesh4, np.full(16, -1.0)), zero, one,
-                        zero, 1.0, 2.0)
-    # a NaN in either density is rejected, not summed into a NaN energy
-    nan = CellScalar(mesh4, np.where(np.arange(16) == 3, np.nan, 1.0))
+        rel_energy_comp(mesh4, np.full(16, -1.0), zero, zero, 1.0, 2.0)
+    # a NaN density is rejected, not summed into a NaN energy
+    nan = np.where(np.arange(16) == 3, np.nan, 1.0)
     with pytest.raises(ValueError):
-        rel_energy_comp(nan, zero, one, zero, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        rel_energy_comp(one, zero, nan, zero, 1.0, 2.0)
-
-
-def test_rel_energy_incomp_oracle(mesh4):
-    v = cell_vector(mesh4, (3.0, 4.0))
-    V = cell_vector(mesh4, (0.0, 0.0))
-    assert rel_energy_incomp(v, V) == pytest.approx(12.5, rel=1e-14)
-    assert rel_energy_incomp(v, v) == 0.0
-    with pytest.raises(ValueError):
-        rel_energy_incomp(v, cell_vector(Mesh(MeshSpec(8, 8)), (0.0, 0.0)))
+        rel_energy_comp(mesh4, nan, zero, zero, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

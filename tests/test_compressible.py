@@ -22,7 +22,7 @@ from apeuler.compressible import (
     eta_rule,
     face_dt_bound,
     init_comp,
-    psi_values,
+    pi_gamma_values,
     run_comp,
     stabilization,
     total_energy,
@@ -30,8 +30,9 @@ from apeuler.compressible import (
     upwind_momentum,
     velocity_update,
 )
-from apeuler.fields import CellScalar, CellVector, cell_scalar
-from apeuler.incompressible import IncompConfig, init_incomp, run_incomp
+from apeuler.fields import CellScalar, CellVector
+from apeuler.incompressible import (ETA, IncompConfig, incomp_step,
+                                   init_incomp, run_incomp)
 from apeuler.mesh import Mesh, MeshSpec
 from apeuler.operators import (
     div_upwind_values,
@@ -40,7 +41,7 @@ from apeuler.operators import (
     lp_norm,
     split_advective_velocity,
 )
-from conftest import cell_vector
+from conftest import cell_scalar, cell_vector
 
 
 def _well_prepared_state(mesh, eps):
@@ -55,7 +56,8 @@ def _well_prepared_state(mesh, eps):
 def test_eos_psi_pi_gamma_at_gamma_two(mesh2):
     rho = np.array([1.0, 2.0, 0.5, 3.0])
     np.testing.assert_allclose(eos_values(rho, 2.0), [1.0, 4.0, 0.25, 9.0])
-    np.testing.assert_allclose(psi_values(rho, 2.0), [1.0, 4.0, 0.25, 9.0])
+    np.testing.assert_allclose(pi_gamma_values(rho, rho**2, 2.0),
+                               [0.0, 1.0, 0.25, 4.0])
     # for gamma = 2: Pi(rho) = (rho - 1)^2, so at rest the entropy variant
     # is sum |K| (rho - 1)^2 / eps^2
     u = cell_vector(mesh2, (0.0, 0.0))
@@ -84,8 +86,6 @@ def test_eos_rejects_nonpositive():
     # a NaN density is not positive either
     with pytest.raises(ValueError):
         eos_values(np.array([1.0, np.nan]), 2.0)
-    with pytest.raises(ValueError):
-        psi_values(np.array([1.0, np.nan]), 2.0)
 
 
 def test_total_energy_constant_state(mesh4):
@@ -638,7 +638,51 @@ def test_velocity_gap_to_limit_is_order_eps_squared():
     for eps in (1e-2, 1e-3, 1e-4):
         cfg = CompConfig(eps=eps, t_final=t_final, dt_max=dt_max)
         u = run_comp(cfg, mesh, _well_prepared_state(mesh, eps)).states[-1].u
-        gaps.append(lp_norm(CellVector(
-            mesh, u.values - limit.states[-1].v.values), 1))
+        gaps.append(lp_norm(mesh, u.values - limit.states[-1].v.values, 1))
     for coarse, fine in zip(gaps, gaps[1:]):
         assert 50.0 <= coarse / fine <= 200.0, gaps
+
+
+def _taylor_green():
+    """Taylor-Green velocity (sin 2 pi x cos 2 pi y, -cos 2 pi x sin 2 pi y);
+    its pressure (cos 4 pi x + cos 4 pi y)/4 is one Laplacian mode, with
+    eigenvalue -(4 pi)^2."""
+    def vx(x, y):
+        return np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+
+    def vy(x, y):
+        return -np.cos(2.0 * np.pi * x) * np.sin(2.0 * np.pi * y)
+
+    return vx, vy
+
+
+def test_one_step_tends_to_the_limit_step(monkeypatch):
+    # the discrete AP limit at fixed h and dt (README, "The one-step AP
+    # limit"): two limit steps give v^1, pi^1 and v^2; one compressible step
+    # from p(rho) = 1 + eps^2 pi^1, u = v^1 lands at L1 distance
+    # C |v^2 - v^1| eps^2 / (eps^2 + kappa dt^2) from v^2, kappa = eta gamma
+    # (4 pi)^2 on the pressure mode; C is read off the eps = 0.1 step
+    monkeypatch.setattr(compressible, "PICARD_TOL", 1e-14)
+    monkeypatch.setattr(compressible, "TRANSPORT_TOL", 1e-14)
+    mesh = Mesh(MeshSpec(32, 32))
+    dt, gamma = 5e-5, 2.0
+    limit_cfg = IncompConfig(t_final=1.0, dt_max=dt)
+    s1, d1 = incomp_step(init_incomp(_taylor_green(), mesh), limit_cfg)
+    s2, d2 = incomp_step(s1, limit_cfg)
+    assert d1.dt == d2.dt == dt
+    step = lp_norm(mesh, s2.v.values - s1.v.values, 1)
+    kappa = ETA * gamma * (4.0 * math.pi) ** 2
+
+    def prefactor(eps):
+        rho = (1.0 + eps**2 * s1.pi.values) ** (1.0 / gamma)
+        state = CompState(0.0, CellScalar(mesh, rho), s1.v)
+        new, diag = comp_step(state, CompConfig(t_final=1.0, dt_max=dt,
+                                                eps=eps, gamma=gamma))
+        assert diag.dt == dt
+        gap = lp_norm(mesh, new.u.values - s2.v.values, 1)
+        return gap / (step * eps**2 / (eps**2 + kappa * dt**2))
+
+    c = prefactor(1e-1)
+    assert c == pytest.approx(1.835, rel=1e-2)
+    ratios = [prefactor(eps) / c for eps in (1e-3, 1e-4, 1e-5)]
+    assert all(1.0 / 1.5 <= r <= 1.5 for r in ratios), ratios

@@ -1,9 +1,10 @@
 """The byte-identity contract: every output file of ``apeuler run`` on the
 recorded configs, and every recorded trajectory, hashes as committed in
 ``digests.json`` (written by ``record_digests.py``); and that script's
-``--compare`` report on a moved column or file."""
+``--compare`` report on a moved column or file, each named once."""
 
 import json
+import shutil
 
 import pytest
 
@@ -53,3 +54,17 @@ def test_compare_reports_columns_and_files_one_side_has(tmp_path):
         "series.csv: layout differs",
         f"added.csv: missing in {old}",
     ]
+
+
+def test_compare_names_a_moved_tiny_file_once(tmp_path):
+    # the one- and two-worker bundles agree, so only one is kept and a
+    # file that moves is reported once
+    old, new = tmp_path / "old", tmp_path / "new"
+    record_digests.tiny_bundle("compressible", old)
+    assert sorted(p.name for p in old.iterdir()) == [
+        "tiny_compressible_w1", "tiny_compressible_w1.cfg"]
+    shutil.copytree(old, new)
+    write_csv(new / "tiny_compressible_w1" / "tables" / "div_residual.csv",
+              ("eps",), [(0.5,)], "h")
+    assert record_digests.compare(old, new) == [
+        "tiny_compressible_w1/tables/div_residual.csv: layout differs"]

@@ -150,7 +150,7 @@ def test_project_l2_of_sine_near_analytic():
     # ||sin(2 pi x)||_{L^2} = sqrt(1/2); cell averaging only shrinks it
     mesh = Mesh(MeshSpec(128, 128))
     q = project(np.vectorize(lambda x, y: math.sin(2.0 * math.pi * x)), mesh)
-    norm = lp_norm(q, 2)
+    norm = lp_norm(mesh, q.values, 2)
     assert norm <= math.sqrt(0.5) + 1e-12
     assert norm == pytest.approx(math.sqrt(0.5), abs=1e-4)
     # the exact cell means carry one sinc factor from the interval average
@@ -176,7 +176,7 @@ def test_project_stability_random_trig(seed):
         return out
 
     analytic = math.sqrt(0.5 * float(np.dot(amps, amps)))
-    assert lp_norm(project(f, mesh), 2) <= analytic + 1e-10
+    assert lp_norm(mesh, project(f, mesh).values, 2) <= analytic + 1e-10
 
 
 def test_project_matches_broadcast_evaluation():
@@ -481,20 +481,27 @@ def test_mean_and_norms_checkerboard(mesh4):
     q = CellScalar(mesh4, np.where((i + j) % 2 == 0, 1.0, -1.0))
     mean = float(np.dot(mesh4.cell_vol, q.values))
     assert mean == pytest.approx(0.0, abs=1e-15)
-    assert lp_norm(q, 1) == pytest.approx(1.0, rel=1e-15)
-    assert lp_norm(q, 2) == pytest.approx(1.0, rel=1e-15)
-    assert lp_norm(q, np.inf) == 1.0
+    assert lp_norm(mesh4, q.values, 1) == pytest.approx(1.0, rel=1e-15)
+    assert lp_norm(mesh4, q.values, 2) == pytest.approx(1.0, rel=1e-15)
+    assert lp_norm(mesh4, q.values, np.inf) == 1.0
 
 
 def test_lp_norm_vector_magnitude(mesh4):
-    v = cell_vector(mesh4, (3.0, 4.0))
-    assert lp_norm(v, 1) == pytest.approx(5.0, rel=1e-15)
-    assert lp_norm(v, 2) == pytest.approx(5.0, rel=1e-15)
-    assert lp_norm(v, np.inf) == pytest.approx(5.0, rel=1e-15)
+    v = cell_vector(mesh4, (3.0, 4.0)).values
+    assert lp_norm(mesh4, v, 1) == pytest.approx(5.0, rel=1e-15)
+    assert lp_norm(mesh4, v, 2) == pytest.approx(5.0, rel=1e-15)
+    assert lp_norm(mesh4, v, np.inf) == pytest.approx(5.0, rel=1e-15)
 
 
 def test_lp_norm_rejects_other_orders(mesh4):
-    q = CellScalar(mesh4, np.ones(mesh4.ncells))
+    q = np.ones(mesh4.ncells)
     for p in (3, "inf"):
         with pytest.raises(ValueError):
-            lp_norm(q, p)
+            lp_norm(mesh4, q, p)
+
+
+def test_lp_norm_rejects_values_not_per_cell(mesh4):
+    for shape in ((mesh4.ncells - 1,), (mesh4.ncells, 3), (2, mesh4.ncells),
+                  (mesh4.ny, mesh4.nx)):
+        with pytest.raises(ValueError):
+            lp_norm(mesh4, np.ones(shape), 1)
