@@ -1,5 +1,5 @@
 """Ensemble statistics over mesh-refinement sequences, the E1--E4 error
-suite, the compressible relative energy, and convergence-rate helpers.
+suite, and convergence-rate helpers.
 
 A refinement sequence of solutions is treated as an equal-weight empirical
 measure per cell; its Cesaro average and first variance are the objects
@@ -26,11 +26,6 @@ members, and a refinement sequence has one member per grid level.  W1 is
 batched: one quantile-gap evaluation over every cell and component of two
 sorted stacks gives E4, and ``w1_empirical``, which takes any number of
 samples, sorts them with ``np.sort`` and runs the same kernel.
-
-``rel_energy_comp`` measures the arrays of a compressible state against the
-unit-density state of a limit velocity, with the Pi_gamma of each step's
-entropy variant (``compressible.pi_gamma_values``); between two limit
-velocities it is ``incompressible.kinetic_energy`` of their difference.
 """
 
 from __future__ import annotations
@@ -41,8 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compressible import (CompState, Trajectory, eos_values,
-                           pi_gamma_values)
+from .compressible import CompState, Trajectory
 from .incompressible import IncompState
 from .mesh import Mesh
 
@@ -60,7 +54,6 @@ __all__ = [
     "first_variance",
     "w1_empirical",
     "error_suite",
-    "rel_energy_comp",
     "eoc",
     "density_deviation",
 ]
@@ -328,18 +321,6 @@ def error_suite(ensemble: Ensemble, ref_ensemble: Ensemble) -> ErrorReport:
     e4 = float((w1 @ mesh.cell_vol).sum())
 
     return ErrorReport(E1=e1, E2=e2, E3=e3, E4=e4)
-
-
-def rel_energy_comp(mesh: Mesh, rho: np.ndarray, m: np.ndarray,
-                    v: np.ndarray, eps: float, gamma: float) -> float:
-    """Relative energy of the density ``rho`` (ncells,) and momentum ``m``
-    (ncells, 2) against the unit-density state with velocity ``v``
-    (ncells, 2): sum |K| [ (rho/2)|m/rho - v|^2 + Pi_gamma(rho) / eps^2 ]."""
-    # eos_values checks the density positive before m / rho divides
-    pi = pi_gamma_values(rho, eos_values(rho, gamma), gamma)
-    du = m / rho[:, None] - v
-    kin = 0.5 * rho * np.einsum("kc,kc->k", du, du)
-    return float(np.dot(mesh.cell_vol, kin + pi / eps**2))
 
 
 def eoc(errors, hs) -> list[float]:

@@ -24,6 +24,7 @@ from .config import (
     load_config,
     parse_config_text,
     render_config,
+    value_reads_back,
 )
 from .harness import run_experiment
 
@@ -56,12 +57,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _effective_config(args):
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = [f"{key} = {value}" for key, value in (
-        ("mode", args.mode), ("grids", args.grids), ("eps", args.eps),
-        ("outdir", args.out), ("workers", args.workers)) if value is not None]
+    overrides = [(flag, key, str(value)) for flag, key, value in (
+        ("--mode", "mode", args.mode), ("--grids", "grids", args.grids),
+        ("--eps", "eps", args.eps), ("--out", "outdir", args.out),
+        ("--workers", "workers", args.workers)) if value is not None]
+    for flag, _, value in overrides:
+        if not value_reads_back(value):
+            raise ConfigError(f"{flag}: {value!r} holds a '#', a line break "
+                              f"or surrounding whitespace")
     if overrides:
-        cfg = parse_config_text("\n".join(overrides), base=cfg,
-                                source="<command line>")
+        cfg = parse_config_text(
+            "\n".join(f"{key} = {value}" for _, key, value in overrides),
+            base=cfg, source="<command line>")
     return cfg
 
 

@@ -216,9 +216,13 @@ def total_energy(rho: CellScalar, u: CellVector, eps: float, gamma: float) -> fl
                      eos_values(rho.values, gamma), eps, gamma)[0]
 
 
-def total_entropy(rho: CellScalar, u: CellVector, eps: float, gamma: float) -> float:
-    """Entropy variant with the relative internal energy Pi_gamma."""
-    return _energies(rho.mesh.cell_vol, rho.values, u.values,
+def total_entropy(rho: CellScalar, u: CellVector, eps: float, gamma: float,
+                  v: CellVector | None = None) -> float:
+    """Relative energy against the unit-density state with velocity ``v``,
+    sum |K| (rho |u - v|^2 / 2 + Pi_gamma(rho)/eps^2); without ``v``, the
+    state at rest, it is each step's entropy variant."""
+    du = u.values if v is None else u.values - v.values
+    return _energies(rho.mesh.cell_vol, rho.values, du,
                      eos_values(rho.values, gamma), eps, gamma)[1]
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "MODES",
+    "value_reads_back",
     "parse_config_text",
     "load_config",
     "render_config",
@@ -40,6 +41,13 @@ class ConfigError(ValueError):
 def eps_tag(eps: float) -> str:
     """An eps value in output paths and run labels: six significant digits."""
     return f"{eps:g}"
+
+
+def value_reads_back(text: str) -> bool:
+    """Whether ``text`` parses back unchanged as a config value: no ``#``
+    (a comment), no line break (``str.splitlines``), no surrounding space."""
+    return ("#" not in text and "".join(text.splitlines()) == text
+            and text == text.strip())
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,9 @@ class ExperimentConfig:
             raise ConfigError("output_count must be at least 2")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if not value_reads_back(self.outdir):
+            raise ConfigError(f"outdir must hold no '#', line break or "
+                              f"surrounding whitespace; got {self.outdir!r}")
         # gamma, each eps and t_final are checked by the per-run configs
         # themselves
         try:

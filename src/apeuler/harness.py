@@ -52,12 +52,11 @@ from .analysis import (
     error_suite,
     incomp_snapshot,
     make_ensemble,
-    rel_energy_comp,
     restrict_values,
 )
 from .cases import comp_initial_data, incomp_initial_data
 from .compressible import (StepDiagnostics, Trajectory, default_output_times,
-                           init_comp, run_comp)
+                           init_comp, run_comp, total_entropy)
 from .config import (ExperimentConfig, comp_config, config_hash, eps_tag,
                      incomp_config)
 from .incompressible import (IncompStepDiagnostics, init_incomp,
@@ -306,14 +305,10 @@ def cross_energy_rows(results: dict, grid: int, eps_list, gamma: float):
     velocity at unit density."""
     limit = results.get(("incomp", grid))
     runs = _comp_runs(results, grid, eps_list) if limit is not None else []
-    rows = []
-    for eps, comp in runs:
-        state = comp.states[-1]
-        rho = state.rho.values
-        rows.append((eps, rel_energy_comp(
-            state.mesh, rho, rho[:, None] * state.u.values,
-            limit.states[-1].v.values, eps, gamma)))
-    return ["eps", "rel_energy"], rows
+    return ["eps", "rel_energy"], [
+        (eps, total_entropy(comp.states[-1].rho, comp.states[-1].u, eps,
+                            gamma, limit.states[-1].v))
+        for eps, comp in runs]
 
 
 def _all_grids(cfg: ExperimentConfig) -> list[int]:

@@ -1,5 +1,6 @@
 """Shared fixtures: small meshes and a seeded generator, plus constant
-scalar- and vector-field helpers and the transport-LP oracle of W1.
+scalar- and vector-field helpers, the Taylor-Green velocity and the
+transport-LP oracle of W1.
 
 The test session runs with one BLAS thread per process, as ``apeuler run``
 and the benchmark do, so the recorded digests do not depend on the core
@@ -28,6 +29,19 @@ def cell_vector(mesh: Mesh, fill=(0.0, 0.0)) -> CellVector:
     """Constant vector field."""
     return CellVector(mesh, np.tile(np.asarray(fill, dtype=np.float64),
                                     (mesh.ncells, 1)))
+
+
+def taylor_green():
+    """Taylor-Green velocity (sin 2 pi x cos 2 pi y, -cos 2 pi x sin 2 pi y);
+    its pressure (cos 4 pi x + cos 4 pi y)/4 is one Laplacian mode, with
+    eigenvalue -(4 pi)^2."""
+    def vx(x, y):
+        return np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+
+    def vy(x, y):
+        return -np.cos(2.0 * np.pi * x) * np.sin(2.0 * np.pi * y)
+
+    return vx, vy
 
 
 def w1_lp(a, b) -> float:

@@ -238,6 +238,11 @@ def main(argv=None) -> int:
                         type=Path, help="compare two --keep directories")
     args = parser.parse_args(argv)
     if args.compare:
+        # a wrong path would otherwise read as a tree with no file changed
+        for path in args.compare:
+            if not path.is_dir() or next(path.rglob("*.csv"), None) is None:
+                parser.error(f"--compare: {path} is not a directory holding "
+                             f"a CSV file")
         print("\n".join(compare(*args.compare)) or "no file differs")
         return 0
 

@@ -41,7 +41,7 @@ from apeuler.operators import (
     lp_norm,
     split_advective_velocity,
 )
-from conftest import cell_scalar, cell_vector
+from conftest import cell_scalar, cell_vector, taylor_green
 
 
 def _well_prepared_state(mesh, eps):
@@ -103,6 +103,54 @@ def test_total_energy_kinetic_part(mesh4):
     u = cell_vector(mesh4, (3.0, 4.0))
     # KE = |Omega| * (1/2) * 2 * 25 = 25; internal = 4/eps^2
     assert total_energy(rho, u, 1.0, 2.0) == pytest.approx(29.0, rel=1e-14)
+
+
+def test_total_entropy_bregman_oracle(mesh4):
+    # rho = 2 against the unit density at rest, gamma = 2, eps = 1:
+    # psi(2) - psi(1) - psi'(1) = 4 - 1 - 2 = 1 per unit volume
+    zero = cell_vector(mesh4, (0.0, 0.0))
+    assert total_entropy(cell_scalar(mesh4, 2.0), zero, 1.0, 2.0, zero) == \
+        pytest.approx(1.0, rel=1e-14)
+
+
+def test_total_entropy_kinetic_oracle(mesh4):
+    # unit density, velocity gap (4, 6) - (1, 2) = (3, 4): (rho/2)|u - v|^2
+    # = 12.5 per volume, whatever eps
+    one = cell_scalar(mesh4, 1.0)
+    u = cell_vector(mesh4, (4.0, 6.0))
+    v = cell_vector(mesh4, (1.0, 2.0))
+    for eps in (1.0, 1e-3):
+        assert total_entropy(one, u, eps, 2.0, v) == \
+            pytest.approx(12.5, rel=1e-14)
+
+
+def test_total_entropy_zero_at_reference(mesh4, rng):
+    one = cell_scalar(mesh4, 1.0)
+    v = CellVector(mesh4, rng.standard_normal((mesh4.ncells, 2)))
+    for gamma in (1.4, 2.0):
+        assert total_entropy(one, v, 0.1, gamma, v) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [1.4, 2.0, 3.0])
+def test_total_entropy_against_rest_is_the_entropy_variant(mesh16, rng,
+                                                           gamma):
+    # a zero reference velocity gives the step's entropy variant bit for bit
+    rho = CellScalar(mesh16, 1.0 + 0.1 * rng.uniform(-1.0, 1.0, mesh16.ncells))
+    u = CellVector(mesh16, rng.standard_normal((mesh16.ncells, 2)))
+    zero = cell_vector(mesh16, (0.0, 0.0))
+    for eps in (1.0, 0.1):
+        assert total_entropy(rho, u, eps, gamma, zero) == \
+            total_entropy(rho, u, eps, gamma)
+
+
+def test_total_entropy_rejects_bad_density(mesh4):
+    zero = cell_vector(mesh4, (0.0, 0.0))
+    with pytest.raises(ValueError):
+        total_entropy(cell_scalar(mesh4, -1.0), zero, 1.0, 2.0, zero)
+    # a NaN density is rejected, not summed into a NaN energy
+    nan = CellScalar(mesh4, np.where(np.arange(16) == 3, np.nan, 1.0))
+    with pytest.raises(ValueError):
+        total_entropy(nan, zero, 1.0, 2.0, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -643,19 +691,6 @@ def test_velocity_gap_to_limit_is_order_eps_squared():
         assert 50.0 <= coarse / fine <= 200.0, gaps
 
 
-def _taylor_green():
-    """Taylor-Green velocity (sin 2 pi x cos 2 pi y, -cos 2 pi x sin 2 pi y);
-    its pressure (cos 4 pi x + cos 4 pi y)/4 is one Laplacian mode, with
-    eigenvalue -(4 pi)^2."""
-    def vx(x, y):
-        return np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
-
-    def vy(x, y):
-        return -np.cos(2.0 * np.pi * x) * np.sin(2.0 * np.pi * y)
-
-    return vx, vy
-
-
 def test_one_step_tends_to_the_limit_step(monkeypatch):
     # the discrete AP limit at fixed h and dt (README, "The one-step AP
     # limit"): two limit steps give v^1, pi^1 and v^2; one compressible step
@@ -667,7 +702,7 @@ def test_one_step_tends_to_the_limit_step(monkeypatch):
     mesh = Mesh(MeshSpec(32, 32))
     dt, gamma = 5e-5, 2.0
     limit_cfg = IncompConfig(t_final=1.0, dt_max=dt)
-    s1, d1 = incomp_step(init_incomp(_taylor_green(), mesh), limit_cfg)
+    s1, d1 = incomp_step(init_incomp(taylor_green(), mesh), limit_cfg)
     s2, d2 = incomp_step(s1, limit_cfg)
     assert d1.dt == d2.dt == dt
     step = lp_norm(mesh, s2.v.values - s1.v.values, 1)

@@ -109,12 +109,25 @@ def test_validation_rejections(text):
 def test_render_parse_roundtrip():
     cfg = parse_config_text(
         "mode = incompressible\ngrids = 16,32\nref_grid = 64\n"
-        "eps = 1.0,0.01\nt_final = 0.015\nworkers = 3\n")
+        "eps = 1.0,0.01\nt_final = 0.015\nworkers = 3\n"
+        "outdir = my results/run 1\n")
+    assert cfg.outdir == "my results/run 1"
     again = parse_config_text(render_config(cfg))
     assert again == cfg
     # every field appears exactly once, in declaration order
     keys = [line.split(" = ")[0] for line in render_config(cfg).splitlines()]
     assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+@pytest.mark.parametrize("outdir", [
+    "a#b", "a\nb", "a\r\nb", "a\u2028b", "a\n", " a", "a ", "a\t",
+], ids=["hash", "LF", "CRLF", "LS", "trailing-LF", "leading-space",
+        "trailing-space", "trailing-tab"])
+def test_outdir_that_would_not_read_back_is_rejected(outdir):
+    # the rendering of such an outdir would parse back to another one
+    # (res#1 to res), so render_config could not round-trip it
+    with pytest.raises(ConfigError, match="outdir"):
+        ExperimentConfig(outdir=outdir)
 
 
 def test_config_hash_stability_and_sensitivity():

@@ -1,7 +1,8 @@
 """The byte-identity contract: every output file of ``apeuler run`` on the
 recorded configs, and every recorded trajectory, hashes as committed in
 ``digests.json`` (written by ``record_digests.py``); and that script's
-``--compare`` report on a moved column or file, each named once."""
+``--compare`` report on a moved column or file, each named once, and its
+refusal of a path that holds no output."""
 
 import json
 import shutil
@@ -68,3 +69,20 @@ def test_compare_names_a_moved_tiny_file_once(tmp_path):
               ("eps",), [(0.5,)], "h")
     assert record_digests.compare(old, new) == [
         "tiny_compressible_w1/tables/div_residual.csv: layout differs"]
+
+
+def test_compare_refuses_a_path_without_csv_files(tmp_path, capsys):
+    # a mistyped path must not read as "no file differs"
+    good, empty = tmp_path / "good", tmp_path / "empty"
+    write_csv(good / "t.csv", ("t",), [(0.5,)], "h")
+    empty.mkdir()
+    assert record_digests.main(["--compare", str(good), str(good)]) == 0
+    assert capsys.readouterr().out == "no file differs\n"
+    for old, new in ((tmp_path / "nope1", tmp_path / "nope2"),
+                     (good, tmp_path / "nope"), (empty, good),
+                     (good, good / "t.csv")):
+        with pytest.raises(SystemExit) as exc:
+            record_digests.main(["--compare", str(old), str(new)])
+        assert exc.value.code != 0
+        bad = old if old != good else new
+        assert f"--compare: {bad} is not a directory" in capsys.readouterr().err

@@ -20,7 +20,7 @@ import pytest
 
 import apeuler.cli as cli
 import apeuler.harness as harness
-from apeuler.compressible import StepDiagnostics
+from apeuler.compressible import StepDiagnostics, total_entropy
 from apeuler.config import (ExperimentConfig, config_hash, parse_config_text,
                             render_config)
 from apeuler.harness import OutputBundle, run_experiment
@@ -130,6 +130,21 @@ def test_tables_are_the_row_functions_written_out(tmp_path, monkeypatch):
             assert rows
             np.testing.assert_array_equal(np.array(parsed, dtype=float),
                                           np.array(rows, dtype=float))
+
+
+def test_cross_energy_rows_are_total_entropy_against_the_limit():
+    # each row is the final compressible state's relative energy against
+    # the final limit velocity, computed by the scheme module, bit for bit
+    cfg = parse_config_text(TINY)
+    grid = cfg.grids[-1]
+    results = {key: harness._job(cfg, key) for key in
+               [("incomp", grid)] + [("comp", grid, e) for e in cfg.eps]}
+    v = results[("incomp", grid)].states[-1].v
+    finals = [results[("comp", grid, e)].states[-1] for e in cfg.eps]
+    assert harness.cross_energy_rows(results, grid, cfg.eps, cfg.gamma) == (
+        ["eps", "rel_energy"],
+        [(e, total_entropy(s.rho, s.u, e, cfg.gamma, v))
+         for e, s in zip(cfg.eps, finals)])
 
 
 def test_run_files_are_the_trajectories_written_out(tmp_path, monkeypatch):
@@ -520,6 +535,26 @@ def test_cli_scheme_knob_out_of_range_is_config_error(tmp_path, capsys):
     assert rc == 1
     assert "gamma must exceed 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--out", "res#1"),
+    ("--out", "x\nmode = incompressible"),
+    ("--out", " res"),
+    ("--grids", "32#,64"),
+    ("--eps", "1.0\r0.01"),
+    ("--mode", "incompressible\n"),
+], ids=["out-hash", "out-newline", "out-space", "grids-hash", "eps-CR",
+        "mode-newline"])
+def test_cli_override_that_would_not_read_back_is_config_error(
+        flag, value, capsys):
+    # each override is read as one config line: a '#' would cut it short, a
+    # line break would add an assignment and surrounding whitespace would
+    # be stripped, so such a value is refused, naming its flag
+    assert cli.main(["run", flag, value, "--print-config"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {flag}: ")
 
 
 def test_cli_partial_failure_exit_code(tmp_path, capsys, monkeypatch):
