@@ -34,11 +34,9 @@ scheme.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import shutil
 from dataclasses import MISSING, dataclass, field, fields
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -147,33 +145,28 @@ def _sweep(cfg: ExperimentConfig, cells) -> tuple[dict, dict]:
     bundle) pairs and failure messages keyed by cell, a failure confined to
     its cell.  A cell whose run or run-file write raises is a failed cell:
     its run directories are removed from every bundle, so its files are in
-    no manifest and on no disk, and the sweep goes on.  With one worker the
-    cells run in this process, else on ``cfg.workers`` forked processes, at
-    most one per cell, which write the files themselves and send back only
-    the pair.  A worker that dies fails every cell not finished by then."""
-    workers = min(cfg.workers, len(cells))
+    no manifest and on no disk, and the sweep goes on.  Every cell runs on
+    one of ``cfg.workers`` forked processes, at most one per cell, which
+    write the files themselves and send back only the pair; one worker is
+    one process beside this one.  A worker that dies fails every cell not
+    finished by then."""
+    # imported here, so importing the package does not load them; fork, so
+    # the children inherit the imported package and a driver script without
+    # a __main__ guard is not run again in each
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     chash, studies = config_hash(cfg), _studies(cfg)
     outdirs = {key: [outdir for outdir, listed, _ in studies if key in listed]
                for key in cells}
     results, failures = {}, {}
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            # imported here, so a run without a pool never loads them; fork,
-            # so the children inherit the imported package and a driver
-            # script without a __main__ guard is not run again in each
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")))
-            outcomes = {key: pool.submit(_run_cell, cfg, key, outdirs[key],
-                                         chash).result
-                        for key in cells}
-        else:
-            outcomes = {key: partial(_run_cell, cfg, key, outdirs[key], chash)
-                        for key in cells}
-        for key, outcome in outcomes.items():
+    workers = min(cfg.workers, len(cells))
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        futures = {key: pool.submit(_run_cell, cfg, key, outdirs[key], chash)
+                   for key in cells}
+        for key, future in futures.items():
             try:
-                results[key] = outcome()
+                results[key] = future.result()
             except Exception as exc:  # cell isolation is the whole point
                 label = _names(key)[0]
                 log.warning("sweep cell failed: %s: %s", label, exc)

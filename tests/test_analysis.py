@@ -351,11 +351,12 @@ def test_w1_properties(a, b, c, seed):
 
 def test_runtime_imports_leave_scipy_out():
     # scipy is a test-only dependency: importing the package and its CLI
-    # must not load it
+    # must not load it, nor the process pool, which only a sweep starts
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import apeuler, apeuler.cli, sys; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m.partition('.')[0] in "
+            "('scipy', 'multiprocessing', 'concurrent')))")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)

@@ -39,6 +39,7 @@ from apeuler.operators import (
     edge_normal_values,
     grad_values,
     lp_norm,
+    project,
     split_advective_velocity,
 )
 from conftest import cell_scalar, cell_vector, taylor_green
@@ -721,3 +722,68 @@ def test_one_step_tends_to_the_limit_step(monkeypatch):
     assert c == pytest.approx(1.835, rel=1e-2)
     ratios = [prefactor(eps) / c for eps in (1e-3, 1e-4, 1e-5)]
     assert all(1.0 / 1.5 <= r <= 1.5 for r in ratios), ratios
+
+
+#: Picard sweeps per step that no eps may exceed on the run below; 3.00 is
+#: the largest measured, at eps = 1
+SWEEPS_PER_STEP_CAP = 3.5
+
+
+def test_cost_per_unit_time_is_mach_uniform():
+    # the scheme's reason to exist: with dt_max out of the way, the step
+    # bound sets the step count, and neither it nor the Picard sweeps per
+    # step grow as eps -> 0.  Measured on 32^2 (steps/sweeps): 78/234,
+    # 44/131, 16/34, 14/20, 13/14, 13/14, 13/13 from eps = 1 to 1e-6
+    mesh = Mesh(MeshSpec(32, 32))
+    counts = {}
+    for eps in (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        traj = run_comp(CompConfig(eps=eps, t_final=0.02, dt_max=1.0), mesh,
+                        _well_prepared_state(mesh, eps), [0.0, 0.02])
+        counts[eps] = (len(traj.diagnostics),
+                       sum(d.picard_iters for d in traj.diagnostics))
+    assert all(steps <= counts[1.0][0] for steps, _ in counts.values()), counts
+    assert all(sweeps <= SWEEPS_PER_STEP_CAP * steps
+               for steps, sweeps in counts.values()), counts
+
+
+def _taylor_green_pressure(x, y):
+    """The limit pressure (cos 4 pi x + cos 4 pi y)/4 of ``taylor_green``."""
+    return (np.cos(4.0 * np.pi * x) + np.cos(4.0 * np.pi * y)) / 4.0
+
+
+def _distance_to_taylor_green(grid, eps):
+    """Run well-prepared Taylor-Green data, rho = 1 + eps^2 (pi + 1/2)/2 at
+    gamma = 2, to t = 0.05 in one output interval; returns the final state's
+    kinetic part 1/2 sum |K| rho |u - V|^2 of the relative energy against
+    the steady solution V (the projected initial velocity), its internal
+    part sum |K| (rho - 1)^2 / eps^2, and the L1 gap of (p - 1)/eps^2 to
+    the cell averages of pi, both means removed."""
+    mesh = Mesh(MeshSpec(grid, grid))
+    ic = init_comp(lambda x, y: 1.0 + eps**2 * (
+                       _taylor_green_pressure(x, y) + 0.5) / 2.0,
+                   taylor_green(), mesh, eps)
+    final = run_comp(CompConfig(eps=eps, t_final=0.05, dt_max=1.0), mesh, ic,
+                     [0.0, 0.05]).states[-1]
+    rho, u, v = final.rho.values, final.u.values, ic.u.values
+    kinetic = 0.5 * np.dot(mesh.cell_vol,
+                           rho * np.einsum("kc,kc->k", u - v, u - v))
+    internal = np.dot(mesh.cell_vol, (rho - 1.0) ** 2) / eps**2
+    q = (eos_values(rho, 2.0) - 1.0) / eps**2
+    pi = project(_taylor_green_pressure, mesh).values
+    gap = lp_norm(mesh, (q - q.mean()) - (pi - pi.mean()), 1)
+    return kinetic, internal, gap
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2])
+def test_compressible_runs_approach_the_incompressible_solution(eps):
+    # the AP diagram against the exact solution: as h falls at fixed eps the
+    # kinetic part of the relative energy to the steady Taylor-Green flow
+    # falls at first order in L2 (measured 3.47 and 3.57 per halving), the
+    # internal part stays the data's own 5/64 eps^2 (measured 0.93-1.15
+    # times it), and the pressure is the limit pressure (measured gaps
+    # 0.023-0.066)
+    coarse, fine = (_distance_to_taylor_green(grid, eps) for grid in (16, 32))
+    assert coarse[0] >= 3.0 * fine[0], (coarse, fine)
+    for kinetic, internal, gap in (coarse, fine):
+        assert 1.0 / 1.3 <= internal / (5.0 / 64.0 * eps**2) <= 1.3, internal
+        assert gap <= 0.1, gap

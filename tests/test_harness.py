@@ -3,6 +3,7 @@ per sweep cell, determinism across reruns and worker counts, failure
 isolation, exit codes, the CLI's one BLAS thread per process, and the
 package names the benchmark tracer wraps."""
 
+import ast
 import concurrent.futures
 import dataclasses
 import faulthandler
@@ -26,7 +27,7 @@ from apeuler.config import (ExperimentConfig, config_hash, parse_config_text,
 from apeuler.harness import OutputBundle, run_experiment
 from apeuler.incompressible import IncompStepDiagnostics
 from apeuler.output import format_value
-from record_digests import TINY
+from record_digests import STUDY_BUNDLE, TINY
 
 SMALLEST = ("grids = 4\nref_grid = 8\neps = 1.0\n"
             "t_final = 0.001\noutput_count = 2\n")
@@ -218,30 +219,44 @@ def test_run_experiment_dispatch(tmp_path):
         assert p.read_text().startswith(f"# config_hash={config_hash(cfg)}\n")
 
 
+def _append(path: Path, value) -> None:
+    """Append ``value``'s repr to ``path`` as one line: a call counted in a
+    forked worker reaches the parent this way."""
+    with path.open("a", encoding="utf-8") as log:
+        log.write(f"{value!r}\n")
+
+
+def _appended(path: Path) -> Counter:
+    """How often each value was appended to ``path`` by ``_append``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return Counter(ast.literal_eval(line) for line in lines)
+
+
 def test_convergence_study_runs_each_cell_once(tmp_path, monkeypatch):
     # both studies need the limit runs on every grid and the compressible
-    # run on the finest sweep grid; each cell still runs once
-    calls = Counter()
+    # run on the finest sweep grid; each cell still runs once, in a forked
+    # worker that appends each call to a file
+    jobs, renders = tmp_path / "jobs.txt", tmp_path / "renders.txt"
     real = harness._job
 
     def job(cfg, key):
-        calls[key] += 1
+        _append(jobs, key)
         return real(cfg, key)
 
     monkeypatch.setattr(harness, "_job", job)
     # ... and renders its run files once, the shared ones copied byte for
     # byte into the second bundle
-    fields = Counter()
     real_fields = harness.write_field_csv
 
     def write_fields(path, *args):
-        fields[path.parent.name] += 1
+        _append(renders, path.parent.name)
         return real_fields(path, *args)
 
     monkeypatch.setattr(harness, "write_field_csv", write_fields)
     bundle = run_experiment(_cfg(SMALLEST, tmp_path / "n",
                                  extra="mode = convergence_study\n"))
     assert not bundle.failures
+    calls, fields = _appended(jobs), _appended(renders)
     assert calls == {("incomp", 4): 1, ("incomp", 8): 1,
                      ("comp", 4, 1.0): 1, ("comp", 8, 1.0): 1}
     assert fields == {"incomp_k4": 1, "incomp_k8": 1, "comp_k4_eps1": 1,
@@ -434,6 +449,44 @@ def test_dead_worker_fails_its_cells_and_leaves_no_process(tmp_path,
     assert multiprocessing.active_children() == []
 
 
+def test_dying_cell_with_one_worker_fails_its_cells_not_the_run(tmp_path):
+    # with one worker too, a cell whose process dies outright fails itself
+    # and every cell after it, and the run still writes its manifest and
+    # leaves no process.  The run goes in a child interpreter, so a sweep
+    # that dies with its cell fails this test instead of ending pytest
+    outdir = tmp_path / "x"
+    text = TINY + f"outdir = {outdir}\nworkers = 1\n"
+    code = textwrap.dedent(f"""
+        import multiprocessing, os
+        import apeuler.harness as harness
+        from apeuler.config import parse_config_text
+
+        real = harness._job
+
+        def dying(cfg, key):
+            if key == ("comp", 8, 0.01):
+                os._exit(1)
+            return real(cfg, key)
+
+        harness._job = dying
+        bundle = harness.run_experiment(parse_config_text({text!r}))
+        print([failure.split(": ")[0] for failure in bundle.failures])
+        print(multiprocessing.active_children())
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "['comp k=8 eps=0.01', 'incomp k=16', 'comp k=16 eps=1', "
+        "'comp k=16 eps=0.01']", "[]"]
+    entries = _manifest_entries(outdir)
+    assert "runs/comp_k8_eps1/diagnostics.csv" in entries
+    assert not any(e.startswith(("runs/comp_k8_eps0.01/", "runs/incomp_k16/"))
+                   for e in entries)
+
+
 def test_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
     # the fork context starts every worker at the first submit
     sizes = []
@@ -444,10 +497,13 @@ def test_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    cfg = _cfg(SMALLEST, tmp_path / "p", extra="workers = 8\n")
-    results, failures = harness._sweep(cfg, [("incomp", 4), ("incomp", 8)])
-    assert sizes == [2]
-    assert sorted(results) == [("incomp", 4), ("incomp", 8)] and not failures
+    for workers in (8, 1):
+        cfg = _cfg(SMALLEST, tmp_path / "p", extra=f"workers = {workers}\n")
+        results, failures = harness._sweep(cfg, [("incomp", 4), ("incomp", 8)])
+        assert sorted(results) == [("incomp", 4), ("incomp", 8)]
+        assert not failures
+    # ... and one worker is a pool of one, not this process
+    assert sizes == [2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -620,3 +676,6 @@ def test_bench_bundle_configs_parse(monkeypatch):
     assert bench.BUNDLE_CONFIGS
     for name, text in bench.BUNDLE_CONFIGS.items():
         parse_config_text(text, source=f"BUNDLE_CONFIGS[{name!r}]")
+    # the study_bundle digests are of the benchmark's own config, not of a
+    # copy that a later edit of either could leave stale
+    assert STUDY_BUNDLE == bench.BUNDLE_CONFIGS["full"]
