@@ -573,7 +573,9 @@ def default_output_times(t_final: float, count: int = 10) -> np.ndarray:
 def _march(step, config, ic, output_times) -> Trajectory:
     """Advance ``ic`` with ``step(state, config, dt_cap=...)`` to each output
     time in turn (default: ``default_output_times(config.t_final)``), landing
-    exactly on it.
+    exactly on it.  A recorded state holds no pressure gradient: ``gp``,
+    which only the next step's time-step bound reads, is None in it, while
+    the march goes on with the gradient the step carried.
 
     Before the first step it allocates and frees one 4 MB block whose pages
     are never touched, which keeps glibc from handing the heap top back to
@@ -596,7 +598,7 @@ def _march(step, config, ic, output_times) -> Trajectory:
 
     state = ic
     times = [state.t]
-    states = [state]
+    states = [replace(state, gp=None)]
     diagnostics = []
     tiny = 1e-12 * max(config.t_final, 1.0)
 
@@ -606,7 +608,7 @@ def _march(step, config, ic, output_times) -> Trajectory:
             diagnostics.append(diag)
         state = replace(state, t=float(t_out))
         times.append(state.t)
-        states.append(state)
+        states.append(replace(state, gp=None))
     return Trajectory(mesh=ic.mesh, times=times, states=states,
                       diagnostics=diagnostics)
 
@@ -614,8 +616,5 @@ def _march(step, config, ic, output_times) -> Trajectory:
 def run_comp(config: CompConfig, mesh: Mesh, ic: CompState,
              output_times=None) -> Trajectory:
     """March the scheme to t_final, landing exactly on each output time.
-    The recorded states drop the carried pressure gradient, which only the
-    next step reads."""
-    traj = _march(comp_step, config, ic, output_times)
-    traj.states = [replace(state, gp=None) for state in traj.states]
-    return traj
+    The recorded states hold no pressure gradient (``gp`` is None)."""
+    return _march(comp_step, config, ic, output_times)

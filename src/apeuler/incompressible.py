@@ -11,14 +11,17 @@ w = v^n - dv^{n+1}, dv^{n+1} = eta dt grad pi^{n+1}:
 The composed central-difference Laplacian decouples the four point parities
 of an even periodic grid, so its kernel contains the three checkerboard modes
 besides the constants.  The operator is diagonal in ``rfft2`` space, so the
-pressure is one direct spectral solve that maps those kernel modes to zero;
-the returned pressure is orthogonal to them.  ``pressure_kernel_basis`` spans
-the kernel explicitly; with ``linsolve.solve_deflated_spd`` it is the test
-reference for the spectral solve.  Kinetic energy is non-increasing under the
-sufficient time-step bound (beta = 1/8 in 2-D), which is evaluated
-explicitly at t^n with the previous step's pressure.  ``kinetic_energy``
-takes the mesh and a per-cell velocity array; of the difference of two
-limit velocities it is their relative energy (``rel_energy_refine.csv``).
+pressure is one direct spectral solve, one forward and one inverse FFT, that
+maps those kernel modes to zero; the returned pressure is orthogonal to them.
+``pressure_kernel_basis`` spans the kernel explicitly; with
+``linsolve.solve_deflated_spd`` it is the test reference for the spectral
+solve.  Kinetic energy is non-increasing under the sufficient time-step bound
+(beta = 1/8 in 2-D), which is evaluated explicitly at t^n with the previous
+step's pressure gradient: the pressure solve returns grad pi^{n+1}, the step
+uses it and carries it in ``IncompState.gp`` to the next bound.
+``kinetic_energy`` takes the mesh and a per-cell velocity array; of the
+difference of two limit velocities it is their relative energy
+(``rel_energy_refine.csv``).
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ from .mesh import Mesh
 from .operators import (
     _face_divergence,
     _laplace_symbol,
+    div_values,
     edge_normal_values,
     grad_values,
-    laplace_values,
     lp_norm,
     project_vector,
     split_advective_velocity,
@@ -82,6 +85,9 @@ class IncompState:
     # kinetic energy of v, carried into the next step's energy check;
     # None: computed there
     ke: float | None = None
+    # grad pi, (ncells, 2), carried into the next step's time-step bound;
+    # None: computed there
+    gp: np.ndarray | None = None
 
     @property
     def mesh(self) -> Mesh:
@@ -136,9 +142,28 @@ def pressure_kernel_basis(mesh: Mesh) -> np.ndarray:
     return basis / math.sqrt(mesh.ncells)
 
 
+def _parity_deflate(q: np.ndarray) -> np.ndarray:
+    """``q`` (ny, nx) minus its mean over each parity class, flattened.
+
+    The classes are ``q[a::ky, c::kx]`` with ky = 2 - ny % 2 and
+    kx = 2 - nx % 2: four on an even grid, two or one when a side is odd.
+    The composed Laplacian's kernel is exactly the grid functions constant
+    on each class, and the classes have equal sizes, so this is the
+    orthogonal projection off that kernel.
+    """
+    ny, nx = q.shape
+    ky, kx = 2 - ny % 2, 2 - nx % 2
+    # rows of ky grid rows: their sum holds each class in every kx-th entry
+    rows = q.reshape(ny // ky, ky * nx)
+    mean = rows.sum(axis=0).reshape(ky, nx // kx, kx).sum(axis=1)
+    mean *= ky * kx / q.size
+    return (rows - np.tile(mean, nx // kx).reshape(-1)).reshape(-1)
+
+
 def pressure_solve(mesh: Mesh, un: np.ndarray, eta: float,
-                   dt: float) -> CellScalar:
-    """Solve eta dt (div grad) pi = div v^n directly in Fourier space.
+                   dt: float) -> tuple[CellScalar, np.ndarray]:
+    """Solve eta dt (div grad) pi = div v^n directly in Fourier space;
+    returns pi and its cell gradient grad pi, (ncells, 2).
 
     ``un`` is the face-averaged normal velocity of v^n
     (``edge_normal_values``), (2, ny, nx); it is left unchanged.  The
@@ -146,40 +171,45 @@ def pressure_solve(mesh: Mesh, un: np.ndarray, eta: float,
     grid, so ``rfft2`` diagonalizes it; dividing by its symbol inverts it
     on every mode and zero-symbol (kernel) modes map to zero, so the
     returned pressure has zero mean and zero checkerboard components.  The
-    residual ||b_defl + eta dt laplace(pi)|| is recomputed, where b_defl is
-    b = -div v^n with its kernel modes removed; a residual above
-    PRESSURE_TOL ||b_defl|| raises.
+    transforms are the one-axis ones ``rfft2`` and ``irfft2`` run, as in
+    ``compressible._spectral_divide``: the same bits.  The residual
+    ||b_defl + eta dt div(grad pi)|| is recomputed, where b_defl is
+    b = -div v^n minus its mean over each parity class (its kernel
+    component); a residual above PRESSURE_TOL ||b_defl|| raises.  The
+    gradient the check builds is the one returned.
     """
     if not (eta > 0.0 and dt > 0.0):
         raise ValueError("eta and dt must be positive")
     coeff = eta * dt
-    shape = (mesh.ny, mesh.nx)
-
-    b = -_face_divergence(mesh, un.copy())
-    s = coeff * _laplace_symbol(mesh)
-    spec = np.fft.rfft2(b.reshape(shape))
-    spec[s == 0.0] = 0.0
-    b_defl = np.fft.irfft2(spec, s=shape).reshape(-1)
+    b = -_face_divergence(mesh, un.copy()).reshape(mesh.ny, mesh.nx)
+    b_defl = _parity_deflate(b)
     bnorm = _norm(b_defl)
 
+    s = coeff * _laplace_symbol(mesh)
+    spec = np.fft.fft(np.fft.rfft(b, axis=1), axis=0)
+    spec[s == 0.0] = 0.0
     np.divide(spec, s, out=spec, where=s > 0.0)
-    x = np.fft.irfft2(spec, s=shape).reshape(-1)
-    residual = _norm(b_defl + coeff * laplace_values(mesh, x))
+    spec = np.fft.ifft(spec, axis=0)
+    x = np.fft.irfft(spec, n=mesh.nx, axis=1).reshape(-1)
+    gx = grad_values(mesh, x)
+    residual = _norm(b_defl + coeff * div_values(mesh, gx))
     if not residual <= PRESSURE_TOL * bnorm:
         raise RuntimeError(
             f"pressure solve missed its tolerance: residual {residual:.3e} "
             f"against {PRESSURE_TOL * bnorm:.3e}")
-    return CellScalar(mesh, x)
+    return CellScalar(mesh, x), gx
 
 
 def incomp_dt(state: IncompState, config: IncompConfig) -> float:
     """Largest admissible dt from ``face_dt_bound`` at t^n with coef = ETA,
-    g = grad pi^n (the previous step's pressure) and right-hand side
-    BETA_2D."""
+    g = grad pi^n (the previous step's pressure, carried in ``state.gp``;
+    computed when that is None) and right-hand side BETA_2D."""
     mesh = state.mesh
-    return face_dt_bound(mesh, state.v.values,
-                         grad_values(mesh, state.pi.values), ETA,
-                         BETA_2D, config.dt_max)
+    gp = state.gp
+    if gp is None:
+        gp = grad_values(mesh, state.pi.values)
+    return face_dt_bound(mesh, state.v.values, gp, ETA, BETA_2D,
+                         config.dt_max)
 
 
 def incomp_step(state: IncompState, config: IncompConfig,
@@ -193,9 +223,8 @@ def incomp_step(state: IncompState, config: IncompConfig,
     if ke_prev is None:
         ke_prev = kinetic_energy(mesh, state.v.values)
     un = edge_normal_values(mesh, state.v.values)
-    pi_new = pressure_solve(mesh, un, ETA, dt)
+    pi_new, gpi = pressure_solve(mesh, un, ETA, dt)
 
-    gpi = grad_values(mesh, pi_new.values)
     dn = edge_normal_values(mesh, (ETA * dt) * gpi)
     split = split_advective_velocity(mesh, un, dn)
 
@@ -209,7 +238,7 @@ def incomp_step(state: IncompState, config: IncompConfig,
     energy_ok = _energy_check(ke, ke_prev, state.step)
 
     new_state = IncompState(t=state.t + dt, v=v_new, pi=pi_new,
-                            step=state.step + 1, ke=ke)
+                            step=state.step + 1, ke=ke, gp=gpi)
     diag = IncompStepDiagnostics(
         step=new_state.step, t=new_state.t, dt=dt,
         kinetic_energy=ke, div_residual=div_residual, energy_ok=energy_ok,
@@ -220,5 +249,6 @@ def incomp_step(state: IncompState, config: IncompConfig,
 
 def run_incomp(config: IncompConfig, mesh: Mesh, ic: IncompState,
                output_times=None) -> Trajectory:
-    """March to t_final, landing exactly on each output time."""
+    """March to t_final, landing exactly on each output time.  The recorded
+    states hold no pressure gradient (``gp`` is None)."""
     return _march(incomp_step, config, ic, output_times)

@@ -199,7 +199,8 @@ def face_gradient_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
 
 
 def laplace_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
-    """div grad composition used by the pressure system."""
+    """div grad composition of the pressure system; the pressure solve's
+    residual check composes the two itself, to keep the gradient."""
     return div_values(mesh, grad_values(mesh, q))
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apeuler import incompressible
+from apeuler import incompressible, operators
 from apeuler.cases import incomp_initial_data
 from apeuler.compressible import (CFL_FRACTION, CompConfig, CompState,
                                   comp_dt, eta_rule)
@@ -39,7 +39,7 @@ from apeuler.operators import (
     laplace_values,
     lp_norm,
 )
-from conftest import cell_scalar, cell_vector
+from conftest import cell_scalar, cell_vector, taylor_green
 
 
 def _shear_state(mesh):
@@ -51,13 +51,15 @@ def _mean(q: CellScalar) -> float:
     return float(np.dot(q.mesh.cell_vol, q.values))
 
 
-def _solve(v: CellVector, eta: float, dt: float):
+def _solve(v: CellVector, eta: float, dt: float) -> CellScalar:
     """``pressure_solve`` for v^n, from its face-averaged normal velocity,
-    which it must leave unchanged."""
+    which it must leave unchanged; the gradient it returns must be the cell
+    gradient of the returned pressure, bit for bit."""
     un = edge_normal_values(v.mesh, v.values)
-    out = pressure_solve(v.mesh, un, eta, dt)
+    pi, gp = pressure_solve(v.mesh, un, eta, dt)
     np.testing.assert_array_equal(un, edge_normal_values(v.mesh, v.values))
-    return out
+    np.testing.assert_array_equal(gp, grad_values(v.mesh, pi.values))
+    return pi
 
 
 def _deflated_rhs(v: CellVector) -> np.ndarray:
@@ -217,6 +219,11 @@ def test_spectral_pressure_matches_deflated_cg(nx, ny, rng):
     assert (float(np.linalg.norm(b - b_defl))
             <= 1e-12 * float(np.linalg.norm(b)))
     np.testing.assert_allclose(basis.T @ pi.values, 0.0, atol=1e-12)
+    # the solver's deflation, b minus its parity-class means, is the basis
+    # projection: one class on 3x5, two on 33x32, four on 8x6 and 32x20
+    parity = incompressible._parity_deflate(b.reshape(ny, nx))
+    assert (float(np.linalg.norm(parity - b_defl))
+            <= 1e-15 * float(np.linalg.norm(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +347,51 @@ def test_incomp_step_carries_its_kinetic_energy(mesh16):
     assert not d_zero.energy_ok
 
 
+def test_incomp_step_carries_its_pressure_gradient(mesh16):
+    # the next step's time-step bound reads the carried grad pi^{n+1},
+    # which is the gradient a state built without it computes, bit for bit;
+    # Taylor-Green data, whose pressure is not roundoff, with dt_max = 1, so
+    # that the bound sets the step
+    cfg = IncompConfig(t_final=0.02, dt_max=1.0)
+    state = init_incomp(taylor_green(), mesh16)
+    assert state.gp is None
+    s1, _ = incomp_step(state, cfg)
+    np.testing.assert_array_equal(s1.gp, grad_values(mesh16, s1.pi.values))
+    fresh = replace(s1, gp=None)
+    assert incomp_dt(s1, cfg) == incomp_dt(fresh, cfg)
+    s2, d2 = incomp_step(s1, cfg)
+    s2_fresh, d2_fresh = incomp_step(fresh, cfg)
+    assert d2 == d2_fresh
+    np.testing.assert_array_equal(s2.v.values, s2_fresh.v.values)
+    np.testing.assert_array_equal(s2.gp, s2_fresh.gp)
+    # the bound reads the carried value: a steeper gradient, a smaller dt
+    assert incomp_dt(replace(s1, gp=1e6 * s1.gp), cfg) < incomp_dt(s1, cfg)
+
+
+def test_run_incomp_builds_one_gradient_per_step(mesh16, monkeypatch):
+    # the pressure solve's residual check builds grad pi^{n+1}, the step
+    # and the next bound reuse it; only the first bound computes its own
+    calls = []
+
+    def counted(mesh, q):
+        calls.append(1)
+        return grad_values(mesh, q)
+
+    for module in (incompressible, operators):
+        monkeypatch.setattr(module, "grad_values", counted)
+    traj = run_incomp(IncompConfig(t_final=0.02), mesh16,
+                      _shear_state(mesh16))
+    assert len(calls) == len(traj.diagnostics) + 1
+
+
 def test_run_incomp_lands_on_output_times(mesh16):
     cfg = IncompConfig(t_final=0.004)
     state = _shear_state(mesh16)
     times = np.array([0.0, 0.002, 0.004])
     traj = run_incomp(cfg, mesh16, state, output_times=times)
     np.testing.assert_array_equal(traj.times, times)
+    # the carried pressure gradient is not kept in the recorded states
+    assert all(s.gp is None for s in traj.states)
     assert [s.t for s in traj.states] == list(times)
     assert len(traj.diagnostics) >= 2
     assert all(d.energy_ok for d in traj.diagnostics)

@@ -28,8 +28,9 @@ ENERGY_EPS = 1e-2
 
 
 def _zero_pressure(mesh, un, eta, dt):
-    """``pressure_solve`` returning pi = 0: the projection is skipped."""
-    return CellScalar(mesh, np.zeros(mesh.ncells))
+    """``pressure_solve`` returning pi = 0 and its zero gradient: the
+    projection is skipped."""
+    return CellScalar(mesh, np.zeros(mesh.ncells)), np.zeros((mesh.ncells, 2))
 
 
 #: mutant name -> (module, attribute, replacement)
