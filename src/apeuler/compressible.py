@@ -32,6 +32,7 @@ from .operators import (
     EdgeSplit,
     _face_difference,
     _face_sum,
+    _laplace_solve,
     _laplace_symbol,
     _neighbour,
     _upwind_flux,
@@ -330,19 +331,6 @@ def comp_dt(state: CompState, eta: float, config: CompConfig) -> float:
                          ratio / 3.0, config.dt_max)
 
 
-def _spectral_divide(q: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """``irfft2(rfft2(q) / denom)`` of a (ny, nx) grid ``q``, flattened.
-
-    It runs the one-axis transforms ``rfft2`` and ``irfft2`` run, in their
-    order, and divides in place: the same bits through fewer layers of
-    dispatch and with one spectrum less.
-    """
-    spec = np.fft.fft(np.fft.rfft(q, axis=1), axis=0)
-    spec /= denom
-    spec = np.fft.ifft(spec, axis=0)
-    return np.fft.irfft(spec, n=q.shape[1], axis=1).reshape(-1)
-
-
 def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
                    config: CompConfig) -> tuple[CellScalar, EdgeSplit, int, int]:
     """Solve the implicit mass balance by a stabilized Picard iteration.
@@ -359,9 +347,10 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
     the max norm, or when the iterate already meets the sweep's residual
     target TRANSPORT_TOL ||b||, accepted unchanged without a linear solve;
     a converged reference run monkeypatches both constants, e.g. to 1e-14.
-    A solve is right-preconditioned by the spectral inverse of
-    I + beta L (L the composed central Laplacian, beta from the mean
-    density) only where the shift is stiff, beta * max(symbol of L) >= 1;
+    A solve is right-preconditioned by (I - beta Lap)^{-1}, Lap the composed
+    central Laplacian and beta from the mean density, which
+    ``operators._laplace_solve`` inverts in Fourier space, only where the
+    shift is stiff, beta * max(symbol of -Lap) >= 1;
     below that the inverse is within a factor 2 of the identity and the
     sweep solves unpreconditioned, which at eps ~ 1 is every sweep.
     ``eta`` is ``eta_rule(rho_n)``.  Returns the converged density, the
@@ -376,8 +365,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
     rho_l = rho_n.values.copy()
     coef = eta * dt * dt / config.eps**2
     un = edge_normal_values(mesh, u_n.values)
-    symbol = _laplace_symbol(mesh)
-    symbol_max = float(symbol.max())
+    symbol_max = float(_laplace_symbol(mesh).max())
     # per-family factors folded into each sweep's face coefficients, so one
     # face sum serves both: ``_face_divergence``'s 1/h, the stencil's 1/(4h)
     h = np.array([mesh.hx, mesh.hy])[:, None, None]
@@ -450,8 +438,7 @@ def density_picard(rho_n: CellScalar, u_n: CellVector, dt: float, eta: float,
         # below 1, 1 + beta * symbol < 2 on every mode: that close to the
         # identity, its FFTs cost more than the iterations they save
         if beta * symbol_max >= 1.0:
-            denom = 1.0 + beta * symbol
-            M = lambda q: _spectral_divide(q.reshape(grid), denom)
+            M = lambda q: _laplace_solve(mesh, q, 1.0, beta)
         x, report = solve_transport(apply, r0, tol=target / r0_norm, M=M)
         if not report.converged:
             raise RuntimeError(
@@ -573,9 +560,11 @@ def default_output_times(t_final: float, count: int = 10) -> np.ndarray:
 def _march(step, config, ic, output_times) -> Trajectory:
     """Advance ``ic`` with ``step(state, config, dt_cap=...)`` to each output
     time in turn (default: ``default_output_times(config.t_final)``), landing
-    exactly on it.  A recorded state holds no pressure gradient: ``gp``,
-    which only the next step's time-step bound reads, is None in it, while
-    the march goes on with the gradient the step carried.
+    exactly on it.  The output times must start at ``ic.t``, within
+    1e-12 max(t_final, 1), strictly increase and be finite; a ValueError
+    names the first entry that does not.  A recorded state holds no pressure
+    gradient: ``gp``, which only the next step's time-step bound reads, is
+    None in it, while the march goes on with the gradient the step carried.
 
     Before the first step it allocates and frees one 4 MB block whose pages
     are never touched, which keeps glibc from handing the heap top back to
@@ -595,12 +584,22 @@ def _march(step, config, ic, output_times) -> Trajectory:
     if output_times is None:
         output_times = default_output_times(config.t_final)
     output_times = np.asarray(output_times, dtype=np.float64)
+    tiny = 1e-12 * max(config.t_final, 1.0)
+    if output_times.ndim != 1 or output_times.size == 0:
+        raise ValueError("output_times must be a non-empty 1-D sequence")
+    ok = np.append(abs(output_times[0] - ic.t) <= tiny,
+                   np.diff(output_times) > 0.0) & np.isfinite(output_times)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"output_times[{i}] = {float(output_times[i])!r}: output times "
+            f"must start at the initial time {ic.t!r}, strictly increase "
+            f"and be finite")
 
     state = ic
     times = [state.t]
     states = [replace(state, gp=None)]
     diagnostics = []
-    tiny = 1e-12 * max(config.t_final, 1.0)
 
     for t_out in output_times[1:]:
         while state.t < t_out - tiny:
@@ -616,5 +615,7 @@ def _march(step, config, ic, output_times) -> Trajectory:
 def run_comp(config: CompConfig, mesh: Mesh, ic: CompState,
              output_times=None) -> Trajectory:
     """March the scheme to t_final, landing exactly on each output time.
-    The recorded states hold no pressure gradient (``gp`` is None)."""
+    The output times must start at ``ic.t``, strictly increase and be
+    finite, else ValueError.  The recorded states hold no pressure gradient (``gp`` is
+    None)."""
     return _march(comp_step, config, ic, output_times)

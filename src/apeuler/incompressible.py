@@ -10,9 +10,9 @@ w = v^n - dv^{n+1}, dv^{n+1} = eta dt grad pi^{n+1}:
 
 The composed central-difference Laplacian decouples the four point parities
 of an even periodic grid, so its kernel contains the three checkerboard modes
-besides the constants.  The operator is diagonal in ``rfft2`` space, so the
-pressure is one direct spectral solve, one forward and one inverse FFT, that
-maps those kernel modes to zero; the returned pressure is orthogonal to them.
+besides the constants.  The pressure is one direct spectral solve,
+``operators._laplace_solve``, that maps those kernel modes to zero; the
+returned pressure is orthogonal to them.
 ``pressure_kernel_basis`` spans the kernel explicitly; with
 ``linsolve.solve_deflated_spd`` it is the test reference for the spectral
 solve.  Kinetic energy is non-increasing under the sufficient time-step bound
@@ -38,7 +38,7 @@ from .linsolve import _norm
 from .mesh import Mesh
 from .operators import (
     _face_divergence,
-    _laplace_symbol,
+    _laplace_solve,
     div_values,
     edge_normal_values,
     grad_values,
@@ -167,12 +167,9 @@ def pressure_solve(mesh: Mesh, un: np.ndarray, eta: float,
 
     ``un`` is the face-averaged normal velocity of v^n
     (``edge_normal_values``), (2, ny, nx); it is left unchanged.  The
-    composed Laplacian is translation invariant on the uniform periodic
-    grid, so ``rfft2`` diagonalizes it; dividing by its symbol inverts it
-    on every mode and zero-symbol (kernel) modes map to zero, so the
-    returned pressure has zero mean and zero checkerboard components.  The
-    transforms are the one-axis ones ``rfft2`` and ``irfft2`` run, as in
-    ``compressible._spectral_divide``: the same bits.  The residual
+    solve is ``operators._laplace_solve`` with shift 0, which maps the
+    kernel modes to zero, so the returned pressure has zero mean and zero
+    checkerboard components.  The residual
     ||b_defl + eta dt div(grad pi)|| is recomputed, where b_defl is
     b = -div v^n minus its mean over each parity class (its kernel
     component); a residual above PRESSURE_TOL ||b_defl|| raises.  The
@@ -185,12 +182,7 @@ def pressure_solve(mesh: Mesh, un: np.ndarray, eta: float,
     b_defl = _parity_deflate(b)
     bnorm = _norm(b_defl)
 
-    s = coeff * _laplace_symbol(mesh)
-    spec = np.fft.fft(np.fft.rfft(b, axis=1), axis=0)
-    spec[s == 0.0] = 0.0
-    np.divide(spec, s, out=spec, where=s > 0.0)
-    spec = np.fft.ifft(spec, axis=0)
-    x = np.fft.irfft(spec, n=mesh.nx, axis=1).reshape(-1)
+    x = _laplace_solve(mesh, b, 0.0, coeff)
     gx = grad_values(mesh, x)
     residual = _norm(b_defl + coeff * div_values(mesh, gx))
     if not residual <= PRESSURE_TOL * bnorm:
@@ -249,6 +241,8 @@ def incomp_step(state: IncompState, config: IncompConfig,
 
 def run_incomp(config: IncompConfig, mesh: Mesh, ic: IncompState,
                output_times=None) -> Trajectory:
-    """March to t_final, landing exactly on each output time.  The recorded
-    states hold no pressure gradient (``gp`` is None)."""
+    """March to t_final, landing exactly on each output time.  The output
+    times must start at ``ic.t``, strictly increase and be finite, else
+    ValueError.  The recorded states hold no pressure gradient (``gp`` is
+    None)."""
     return _march(incomp_step, config, ic, output_times)

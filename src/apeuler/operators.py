@@ -218,6 +218,22 @@ def _laplace_symbol(mesh: Mesh) -> np.ndarray:
     return _grid_symbol(mesh.nx, mesh.ny)
 
 
+def _laplace_solve(mesh: Mesh, q: np.ndarray, shift: float,
+                   scale: float) -> np.ndarray:
+    """Per-cell x with (shift - scale * ``laplace_values``) x = q, flattened:
+    ``rfft2`` of ``q``, division by shift + scale * ``_laplace_symbol``
+    with the modes where that is zero (the kernel, at shift 0) set to zero,
+    then ``irfft2``.  It runs the one-axis transforms of those two, in
+    their order: the same bits through fewer layers of dispatch."""
+    spec = np.fft.fft(np.fft.rfft(q.reshape(mesh.ny, mesh.nx), axis=1),
+                      axis=0)
+    denom = shift + scale * _laplace_symbol(mesh)
+    np.divide(spec, denom, out=spec, where=denom != 0.0)
+    spec[denom == 0.0] = 0.0
+    spec = np.fft.ifft(spec, axis=0)
+    return np.fft.irfft(spec, n=mesh.nx, axis=1).reshape(-1)
+
+
 @lru_cache(maxsize=8)
 def _grid_symbol(nx: int, ny: int) -> np.ndarray:
     """``_laplace_symbol`` keyed on the grid sizes, so no mesh is kept

@@ -1,6 +1,6 @@
 """Shared fixtures: small meshes and a seeded generator, plus constant
-scalar- and vector-field helpers, the Taylor-Green velocity and the
-transport-LP oracle of W1.
+scalar- and vector-field helpers, the Taylor-Green velocity, the output
+times a march must refuse and the transport-LP oracle of W1.
 
 The test session runs with one BLAS thread per process, as ``apeuler run``
 and the benchmark do, so the recorded digests do not depend on the core
@@ -42,6 +42,24 @@ def taylor_green():
         return -np.cos(2.0 * np.pi * x) * np.sin(2.0 * np.pi * y)
 
     return vx, vy
+
+
+#: (initial time, output times, message) of marches that must refuse to
+#: start: times that run backwards, skip or precede the initial time, never
+#: end, none at all, and the default times (None) from a restarted state
+BAD_OUTPUT_TIMES = [
+    pytest.param(0.0, [0.0, 0.01, 0.005], r"output_times\[2\] = 0\.005:",
+                 id="backwards"),
+    pytest.param(0.0, [0.004, 0.01], r"output_times\[0\] = 0\.004:",
+                 id="late-start"),
+    pytest.param(0.0, [0.0, -0.01], r"output_times\[1\] = -0\.01:",
+                 id="negative"),
+    pytest.param(0.0, [0.0, np.inf], r"output_times\[1\] = inf:",
+                 id="infinite"),
+    pytest.param(0.0, [], "non-empty", id="empty"),
+    pytest.param(0.01, None, r"output_times\[0\] = 0\.0:.* 0\.01,",
+                 id="restart"),
+]
 
 
 def w1_lp(a, b) -> float:

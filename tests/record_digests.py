@@ -9,7 +9,10 @@ config (defined here; ``test_harness.py`` imports it) in each mode, at one
 and at two workers (the two must agree, and only the one-worker bundle is
 kept), and on the ``study_bundle`` config
 of the benchmark, plus one digest per trajectory of the zero-phase 64^2
-compressible runs at eps 1, 1e-2 and 1e-4 and of the 128^2 limit run.
+compressible runs at eps 1, 1e-2 and 1e-4 and of the 128^2 limit run, and
+of two runs on odd and mixed grids that go through the spectral solves: a
+7x9 compressible run at eps 1e-3, whose Picard sweeps apply the FFT
+preconditioner, and a 33x20 limit run.
 ``test_digests.py`` compares a fresh computation with the committed
 ``digests.json``.  Floating-point bits depend on the numpy version and on
 the SIMD paths numpy dispatches to, so both are stored next to the digests.
@@ -111,25 +114,32 @@ def _record_digest(items) -> str:
 
 
 def trajectory_digests() -> dict:
-    """One digest per trajectory of the zero-phase 64^2 compressible runs
-    and the 128^2 limit run."""
+    """One digest per trajectory of the zero-phase 64^2 compressible runs,
+    the 128^2 limit run and the odd and mixed grid runs (7x9 compressible
+    at eps 1e-3, 33x20 limit)."""
     from apeuler import compressible, incompressible
     from apeuler.cases import comp_initial_data, incomp_initial_data
     from apeuler.mesh import Mesh, MeshSpec
 
-    out = {}
-    mesh = Mesh(MeshSpec(64, 64))
-    for eps in COMP_EPS:
+    def comp(nx, ny, eps):
+        mesh = Mesh(MeshSpec(nx, ny))
         rho0, u0 = comp_initial_data(eps)
         ic = compressible.init_comp(rho0, u0, mesh, eps)
         traj = compressible.run_comp(compressible.CompConfig(eps=eps),
                                      mesh, ic)
-        out[f"comp_64_eps{eps:g}"] = _record_digest(traj.states
-                                                    + traj.diagnostics)
-    mesh = Mesh(MeshSpec(128, 128))
-    ic = incompressible.init_incomp(incomp_initial_data(), mesh)
-    traj = incompressible.run_incomp(incompressible.IncompConfig(), mesh, ic)
-    out["incomp_128"] = _record_digest(traj.states + traj.diagnostics)
+        return _record_digest(traj.states + traj.diagnostics)
+
+    def incomp(nx, ny):
+        mesh = Mesh(MeshSpec(nx, ny))
+        ic = incompressible.init_incomp(incomp_initial_data(), mesh)
+        traj = incompressible.run_incomp(incompressible.IncompConfig(), mesh,
+                                         ic)
+        return _record_digest(traj.states + traj.diagnostics)
+
+    out = {f"comp_64_eps{eps:g}": comp(64, 64, eps) for eps in COMP_EPS}
+    out["incomp_128"] = incomp(128, 128)
+    out["comp_7x9_eps0.001"] = comp(7, 9, 1e-3)
+    out["incomp_33x20"] = incomp(33, 20)
     return out
 
 

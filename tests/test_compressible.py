@@ -42,7 +42,8 @@ from apeuler.operators import (
     project,
     split_advective_velocity,
 )
-from conftest import cell_scalar, cell_vector, taylor_green
+from conftest import (BAD_OUTPUT_TIMES, cell_scalar, cell_vector,
+                      taylor_green)
 
 
 def _well_prepared_state(mesh, eps):
@@ -390,34 +391,23 @@ def test_comp_step_records_picard_counts(mesh16, monkeypatch, picard_tol,
         assert diag.transport_iters == 0
 
 
-@pytest.mark.parametrize("nx,ny", [(20, 33), (33, 20), (7, 9)])
-def test_spectral_divide_matches_rfft2(nx, ny):
-    # the preconditioner's one-axis transforms are those of rfft2/irfft2,
-    # bit for bit, on even, odd and mixed grids
-    rng = np.random.default_rng(nx * ny)
-    q = rng.standard_normal((ny, nx))
-    denom = 1.0 + rng.random((ny, nx // 2 + 1))
-    expect = np.fft.irfft2(np.fft.rfft2(q) / denom, s=(ny, nx)).reshape(-1)
-    np.testing.assert_array_equal(compressible._spectral_divide(q, denom),
-                                  expect)
-
-
 def _count_preconditioning(monkeypatch) -> dict:
     """Count, from here on, the transport solves with and without the
     spectral preconditioner and its applies."""
     calls = {"plain": 0, "preconditioned": 0, "applies": 0}
-    spectral_divide = compressible._spectral_divide
+    laplace_solve = compressible._laplace_solve
     solve = compressible.solve_transport
 
-    def counting_divide(q, denom):
+    def counting_laplace_solve(mesh, q, shift, scale):
         calls["applies"] += 1
-        return spectral_divide(q, denom)
+        return laplace_solve(mesh, q, shift, scale)
 
     def counting_solve(A, b, tol, M=None):
         calls["plain" if M is None else "preconditioned"] += 1
         return solve(A, b, tol=tol, M=M)
 
-    monkeypatch.setattr(compressible, "_spectral_divide", counting_divide)
+    monkeypatch.setattr(compressible, "_laplace_solve",
+                        counting_laplace_solve)
     monkeypatch.setattr(compressible, "solve_transport", counting_solve)
     return calls
 
@@ -672,6 +662,14 @@ def test_run_comp_lands_on_output_times(mesh16):
     steps = [d.step for d in traj.diagnostics]
     assert steps == list(range(1, len(steps) + 1))
     assert traj.diagnostics[-1].t == pytest.approx(0.004, abs=1e-12)
+
+
+@pytest.mark.parametrize("t0, times, message", BAD_OUTPUT_TIMES)
+def test_run_comp_refuses_output_times_it_cannot_land_on(t0, times, message):
+    mesh = Mesh(MeshSpec(8, 8))
+    state = replace(_well_prepared_state(mesh, 1e-2), t=t0)
+    with pytest.raises(ValueError, match=message):
+        run_comp(CompConfig(eps=1e-2), mesh, state, output_times=times)
 
 
 def test_velocity_gap_to_limit_is_order_eps_squared():

@@ -32,14 +32,14 @@ from apeuler.linsolve import solve_deflated_spd
 from apeuler.mesh import Mesh, MeshSpec
 from apeuler.analysis import eoc
 from apeuler.operators import (
-    _laplace_symbol,
     div_values,
     edge_normal_values,
     grad_values,
     laplace_values,
     lp_norm,
 )
-from conftest import cell_scalar, cell_vector, taylor_green
+from conftest import (BAD_OUTPUT_TIMES, cell_scalar, cell_vector,
+                      taylor_green)
 
 
 def _shear_state(mesh):
@@ -185,11 +185,12 @@ def test_pressure_solve_argument_validation(mesh4):
 
 
 def test_pressure_solve_nonconvergence_raises(mesh16, rng, monkeypatch):
-    # a wrong symbol gives a wrong inverse; the recomputed true residual
+    # a wrong inverse, twice the solution; the recomputed true residual
     # against the stencil Laplacian must catch it
     v = CellVector(mesh16, rng.standard_normal((mesh16.ncells, 2)))
-    monkeypatch.setattr(incompressible, "_laplace_symbol",
-                        lambda mesh: 2.0 * _laplace_symbol(mesh))
+    laplace_solve = incompressible._laplace_solve
+    monkeypatch.setattr(incompressible, "_laplace_solve",
+                        lambda *args: 2.0 * laplace_solve(*args))
     with pytest.raises(RuntimeError, match="pressure"):
         _solve(v, 1.5, 0.01)
 
@@ -395,6 +396,15 @@ def test_run_incomp_lands_on_output_times(mesh16):
     assert [s.t for s in traj.states] == list(times)
     assert len(traj.diagnostics) >= 2
     assert all(d.energy_ok for d in traj.diagnostics)
+
+
+@pytest.mark.parametrize("t0, times, message", BAD_OUTPUT_TIMES)
+def test_run_incomp_refuses_output_times_it_cannot_land_on(t0, times,
+                                                           message):
+    mesh = Mesh(MeshSpec(8, 8))
+    state = replace(_shear_state(mesh), t=t0)
+    with pytest.raises(ValueError, match=message):
+        run_incomp(IncompConfig(), mesh, state, output_times=times)
 
 
 def test_first_order_decay_of_steady_shear():

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apeuler.fields import CellScalar, CellVector
+from apeuler.incompressible import PRESSURE_TOL, _parity_deflate
 from apeuler.mesh import Mesh, MeshSpec
 from apeuler.operators import (
     EdgeSplit,
+    _laplace_solve,
     _laplace_symbol,
     div_upwind_values,
     div_values,
@@ -391,6 +393,38 @@ def test_laplace_symbol_kernel_is_exact():
     assert s[0, mesh.nx // 2] == 0.0
     assert s[mesh.ny // 2, mesh.nx // 2] == 0.0
     assert np.count_nonzero(s == 0.0) == 4
+
+
+@pytest.mark.parametrize("nx,ny", [(20, 33), (33, 20), (7, 9)])
+def test_laplace_solve_with_a_shift_divides_the_rfft2_spectrum(nx, ny):
+    # the one-axis transforms are those of rfft2/irfft2, bit for bit, on
+    # even, odd and mixed grids; a (ny, nx) grid is taken as it is
+    mesh = Mesh(MeshSpec(nx, ny))
+    q = np.random.default_rng(nx * ny).standard_normal((ny, nx))
+    denom = 1.0 + 0.4 * _laplace_symbol(mesh)
+    expect = np.fft.irfft2(np.fft.rfft2(q) / denom, s=(ny, nx)).reshape(-1)
+    np.testing.assert_array_equal(_laplace_solve(mesh, q, 1.0, 0.4), expect)
+
+
+@pytest.mark.parametrize("nx,ny", [(20, 33), (33, 20), (7, 9)])
+def test_laplace_solve_without_a_shift_zeroes_the_kernel(nx, ny):
+    # shift 0: the kernel modes (one on 7x9, two on 20x33 and 33x20) are
+    # set to exactly 0 without a division by zero, and x solves the system
+    # for q off the kernel, q minus its parity-class means
+    mesh = Mesh(MeshSpec(nx, ny))
+    q = np.random.default_rng(nx * ny).standard_normal(mesh.ncells)
+    scale = 0.02
+    x = _laplace_solve(mesh, q, 0.0, scale)
+
+    denom = scale * _laplace_symbol(mesh)
+    kernel = denom == 0.0
+    spec = np.fft.rfft2(q.reshape(ny, nx)) / np.where(kernel, 1.0, denom)
+    spec[kernel] = 0.0
+    expect = np.fft.irfft2(spec, s=(ny, nx)).reshape(-1)
+    np.testing.assert_array_equal(x, expect)
+    q_defl = _parity_deflate(q.reshape(ny, nx))
+    residual = np.linalg.norm(q_defl + scale * laplace_values(mesh, x))
+    assert residual <= PRESSURE_TOL * np.linalg.norm(q_defl)
 
 
 # ---------------------------------------------------------------------------
